@@ -1,4 +1,4 @@
-.PHONY: build test lint lint-update chaos fleet fleet-chaos replay serve server-chaos server-kill-gate check bench bench-json bench-check clean
+.PHONY: build test lint lint-update gen-check chaos fleet fleet-chaos replay serve server-chaos server-kill-gate check bench bench-json bench-check clean
 
 build:
 	dune build
@@ -15,6 +15,12 @@ test: build
 # stays visible.
 lint: build
 	dune exec bin/ralint.exe -- --gate-empty-baseline
+
+# The interleaved SHA-256 kernel is generated code: re-run the generator
+# and fail if the checked-in file differs from what it emits.
+gen-check:
+	python3 tools/gen_sha256_multi.py
+	git diff --exit-code lib/crypto/sha256_multi.ml
 
 # Accept the current findings into the ratchet baseline (review the
 # LINT_BASELINE.json diff before committing — prefer fixing or an
@@ -37,10 +43,15 @@ fleet-chaos: build
 # The sharded roll-call gate: 100k virtually provisioned devices attested
 # through Fleet.sharded_roll_call, then re-run at another jobs value and
 # another shard count; the fleet Merkle root and every exact counter must
-# be bit-identical across all three runs (DESIGN.md §12).
+# be bit-identical across all three runs (DESIGN.md §12), and the root
+# must equal the pinned one, so the gate also fails if it moves.
+FLEET_100K_ROOT = 482042032e1dbf85a2bedcd9b51b32beb8010ddaf0a9bc9d6a88a4237dfbc34c
+
 fleet: build
 	dune exec bin/ratool.exe -- fleet --devices 100000 --shards 8 \
-	  --check-jobs 2 --check-shards 3
+	  --check-jobs 2 --check-shards 3 > _build/fleet-gate.txt; \
+	  status=$$?; cat _build/fleet-gate.txt; test $$status -eq 0
+	grep -qx "  fleet root: $(FLEET_100K_ROOT)" _build/fleet-gate.txt
 
 # The crash-recovery gate: record a campaign into a write-ahead journal,
 # kill the verifier mid-campaign (torn WAL tail), resume from
@@ -70,7 +81,7 @@ server-chaos: build
 server-kill-gate: build
 	sh scripts/server_kill_gate.sh
 
-check: build test lint chaos fleet fleet-chaos replay server-chaos
+check: build test lint gen-check chaos fleet fleet-chaos replay server-chaos
 
 # Full harness: regenerate every table/figure + Bechamel microbenchmarks.
 bench: build

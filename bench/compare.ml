@@ -62,36 +62,24 @@ let () =
       "usage: compare.exe [--tolerance T] BASELINE.json CURRENT.json [...]";
     exit 2
   end;
-  let ok =
-    List.for_all
-      (fun (baseline_file, current_file) ->
-        let open Ra_experiments.Benchkit in
-        match (read_file baseline_file, read_file current_file) with
-        | exception (Parse_error msg | Sys_error msg) ->
-          Printf.eprintf "compare: %s\n" msg;
-          false
-        | baseline, current ->
-          Printf.printf "== %s: %s vs %s%s\n" baseline.suite baseline_file
-            current_file
-            (match !only with
-            | All -> ""
-            | Exact_only -> " (exact metrics only)"
-            | Wall_only -> " (wall metrics only)");
-          let keep m =
-            match !only with
-            | All -> true
-            | Exact_only -> m.exact
-            | Wall_only -> not m.exact
-          in
-          let baseline =
-            { baseline with metrics = List.filter keep baseline.metrics }
-          in
-          let comparisons =
-            compare_suites ~tolerance:!tolerance ~baseline ~current
-          in
-          let report, ok = render_comparison ~tolerance:!tolerance comparisons in
-          print_string report;
-          ok)
-      pairs
+  let open Ra_experiments.Benchkit in
+  let keep m =
+    match !only with
+    | All -> true
+    | Exact_only -> m.exact
+    | Wall_only -> not m.exact
   in
+  let report, ok =
+    compare_all ~tolerance:!tolerance ~keep
+      (List.map
+         (fun (baseline_file, current_file) ->
+           ( Printf.sprintf "%s vs %s%s" baseline_file current_file
+               (match !only with
+               | All -> ""
+               | Exact_only -> " (exact metrics only)"
+               | Wall_only -> " (wall metrics only)"),
+             fun () -> (read_file baseline_file, read_file current_file) ))
+         pairs)
+  in
+  print_string report;
   exit (if ok then 0 else 1)

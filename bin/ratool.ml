@@ -53,6 +53,31 @@ let check_jobs_arg =
           "Repeat the run at each of these job counts and fail unless every \
            counter digest is bit-identical.")
 
+(* The one print-and-exit for a failed gate: each line (the problems,
+   then the verdict) under the command's name. Exit 1, not cmdliner's
+   124/125: a violated invariant is a test failure, not a CLI usage
+   error. *)
+let fail ~cmd lines =
+  List.iter (fun m -> Printf.eprintf "ratool %s: %s\n" cmd m) lines;
+  exit 1
+
+(* The one re-run-and-compare loop behind every --check-jobs and
+   --check-shards: [check p] re-runs the campaign at point [p] and says
+   how it compares with the reference — [Ok note] prints
+   "<label>=<p>: <note>", [Error problems] are returned, each prefixed
+   the same way. *)
+let recheck ~label points check =
+  List.concat_map
+    (fun p ->
+      match check p with
+      | Ok note ->
+        Printf.printf "%s=%d: %s\n" label p note;
+        []
+      | Error problems -> List.map (Printf.sprintf "%s=%d: %s" label p) problems)
+    points
+
+let diverged a b = Error [ Printf.sprintf "diverged:\n  %s\n  %s" a b ]
+
 (* --- fig1: on-demand protocol timeline ------------------------------- *)
 
 let scheme_arg =
@@ -449,12 +474,6 @@ let heartbeat_cmd =
 
 (* --- fleet -------------------------------------------------------------------- *)
 
-let infect_device device ~block =
-  let rng = Ra_sim.Prng.split (Ra_sim.Engine.prng device.Ra_device.Device.engine) in
-  ignore
-    (Ra_malware.Malware.install device ~rng ~block ~priority:8
-       Ra_malware.Malware.Static)
-
 let run_fleet_demo () =
   print_endline "E-FL — fleet attestation with HKDF-derived per-device keys";
   let fleet = Ra_core.Fleet.create ~master_secret:(Bytes.of_string "demo-master-secret") () in
@@ -463,29 +482,19 @@ let run_fleet_demo () =
   in
   let ids = [ "hvac-1"; "hvac-2"; "door-lock"; "smoke-3"; "camera-9" ] in
   List.iter (fun id -> ignore (Ra_core.Fleet.provision fleet id ~config ())) ids;
-  infect_device (Ra_core.Fleet.device fleet "door-lock") ~block:10;
-  let roll = Ra_core.Fleet.attest_all fleet Ra_core.Mp.default_config in
-  Printf.printf "clean:    %s
-" (String.concat ", " roll.Ra_core.Fleet.clean);
-  Printf.printf "tampered: %s
-" (String.concat ", " roll.Ra_core.Fleet.tampered)
+  let infected = Ra_core.Fleet.device fleet "door-lock" in
+  let rng = Ra_sim.Prng.split (Ra_sim.Engine.prng infected.Ra_device.Device.engine) in
+  ignore
+    (Ra_malware.Malware.install infected ~rng ~block:10 ~priority:8
+       Ra_malware.Malware.Static);
+  let roll = Ra_core.Fleet.sharded_roll_call fleet ~jobs:1 Ra_core.Mp.default_config in
+  Printf.printf "clean:    %s\n" (String.concat ", " roll.Ra_core.Fleet.clean);
+  Printf.printf "tampered: %s\n" (String.concat ", " roll.Ra_core.Fleet.tampered)
 
-(* Counter-and-root signature of a roll call: everything that must be
-   invariant across --jobs and --shards. The shard count and per-shard
-   roots legitimately differ between shard counts, so --check-shards
-   compares this signature; --check-jobs additionally demands identical
-   shard roots (same shard count, so nothing may move). *)
-let fr_signature r =
-  let open Ra_core in
-  let roll = r.Fleet_roll.roll in
-  ( (roll.Fleet.clean, roll.Fleet.tampered),
-    ( roll.Fleet.digest_requests,
-      roll.Fleet.cache_hits,
-      roll.Fleet.store_hits,
-      roll.Fleet.hashed,
-      roll.Fleet.batch_hashed,
-      roll.Fleet.distinct_blocks ),
-    roll.Fleet.fleet_root )
+(* A roll call minus its shard grouping: everything that must be
+   invariant across --shards (--check-jobs keeps the shard count, so it
+   compares whole records). *)
+let unsharded r = { r.Fleet_roll.roll with Ra_core.Fleet.shards = 0; shard_roots = [||] }
 
 let fr_root r = Ra_crypto.Bytesutil.to_hex r.Fleet_roll.roll.Ra_core.Fleet.fleet_root
 
@@ -503,47 +512,26 @@ let run_fleet_scale ~seed ~devices ~shards ~check_jobs ~check_shards
   in
   let r = Fleet_roll.run ~devices ~seed ?shards ?journal () in
   print_string (Fleet_roll.render r);
-  (match journal_dir with
-  | Some dir ->
-    Printf.printf "campaign journal recorded in %s/ (ratool replay --journal %s)\n"
-      dir dir
-  | None -> ());
-  let mismatches =
-    List.filter_map
-      (fun j ->
-        let r' = Fleet_roll.run ~devices ~seed ~shards:r.Fleet_roll.shards ~jobs:j () in
-        if
-          fr_signature r' = fr_signature r
-          && r'.Fleet_roll.roll.Ra_core.Fleet.shard_roots
-             = r.Fleet_roll.roll.Ra_core.Fleet.shard_roots
-        then begin
-          Printf.printf "jobs=%d: fleet root and counters bit-identical\n" j;
-          None
-        end
-        else
-          Some
-            (Printf.sprintf "jobs=%d diverged:\n  %s\n  %s" j (fr_root r)
-               (fr_root r')))
-      check_jobs
-    @ List.filter_map
-        (fun s ->
-          let r' = Fleet_roll.run ~devices ~seed ~shards:s () in
-          if fr_signature r' = fr_signature r then begin
-            Printf.printf "shards=%d: fleet root and counters bit-identical\n" s;
-            None
-          end
-          else
-            Some
-              (Printf.sprintf "shards=%d diverged:\n  %s\n  %s" s (fr_root r)
-                 (fr_root r')))
-        check_shards
+  Option.iter
+    (fun dir ->
+      Printf.printf "campaign journal recorded in %s/ (ratool replay --journal %s)\n"
+        dir dir)
+    journal_dir;
+  let compare ~same r' =
+    if same r' then Ok "fleet root and counters bit-identical"
+    else diverged (fr_root r) (fr_root r')
   in
-  if mismatches = [] then `Ok ()
-  else begin
-    List.iter (fun m -> Printf.eprintf "ratool fleet: %s\n" m) mismatches;
-    prerr_endline "ratool fleet: invariance check failed";
-    exit 1
-  end
+  let problems =
+    recheck ~label:"jobs" check_jobs (fun j ->
+        compare
+          (Fleet_roll.run ~devices ~seed ~shards:r.Fleet_roll.shards ~jobs:j ())
+          ~same:(fun r' -> r'.Fleet_roll.roll = r.Fleet_roll.roll))
+    @ recheck ~label:"shards" check_shards (fun s ->
+          compare (Fleet_roll.run ~devices ~seed ~shards:s ())
+            ~same:(fun r' -> unsharded r' = unsharded r))
+  in
+  if problems <> [] then fail ~cmd:"fleet" (problems @ [ "invariance check failed" ]);
+  `Ok ()
 
 let run_fleet () seed devices shards check_jobs check_shards journal_dir =
   if devices = 0 then begin
@@ -566,9 +554,9 @@ let shards_arg =
     value & opt (some int) None
     & info [ "shards" ] ~docv:"S"
         ~doc:
-          "Contiguous roster shards, one pool task each (default: the jobs \
-           count). The fleet Merkle root and every counter are identical \
-           for any value.")
+          "Group the roster's segment roots into $(docv) contiguous shard \
+           roots (default 1); parallelism comes from $(b,--jobs) alone. The \
+           fleet Merkle root and every counter are identical for any value.")
 
 let check_shards_arg =
   Arg.(
@@ -623,13 +611,9 @@ let run_chaos () seed trials =
   else begin
     let summary = Chaos.run ~seed ~trials () in
     print_string (Chaos.render summary);
-    if summary.Chaos.violations = [] then `Ok ()
-    else begin
-      (* explicit exit 1 (not cmdliner's 124): a violated recovery
-         invariant is a test failure, not a CLI usage error *)
-      prerr_endline "ratool chaos: recovery invariants violated";
-      exit 1
-    end
+    if summary.Chaos.violations <> [] then
+      fail ~cmd:"chaos" [ "recovery invariants violated" ];
+    `Ok ()
   end
 
 let chaos_cmd =
@@ -659,51 +643,47 @@ let kill_resume_proof ~devices ~seed ~rounds ~dir ~kill_at ~all_jobs ?shards () 
   print_string (Fleet_chaos.render reference);
   Printf.printf "\nkill/resume proof: kill at round %d, journals under %s/\n"
     kill_at dir;
-  let failures =
-    List.concat_map
-      (fun j ->
-        let subdir = Filename.concat dir (Printf.sprintf "j%d" j) in
-        let disk = Ra_journal.Disk.file ~dir:subdir in
+  let problems =
+    recheck ~label:"jobs" all_jobs (fun j ->
+        let disk =
+          Ra_journal.Disk.file ~dir:(Filename.concat dir (Printf.sprintf "j%d" j))
+        in
         let killed =
           Fleet_chaos.record_killed ~disk ~devices ~seed ~jobs:j ?shards
             ~max_rounds:rounds ~kill_at_round:kill_at ()
         in
         if not killed then
-          [ Printf.sprintf
-              "jobs=%d: campaign converged before round %d; nothing was killed"
-              j kill_at ]
+          Error
+            [ Printf.sprintf "campaign converged before round %d; nothing was killed"
+                kill_at ]
         else
           match Fleet_chaos.resume ~disk ~jobs:j ?shards () with
-          | Error e -> [ Printf.sprintf "jobs=%d: resume failed: %s" j e ]
+          | Error e -> Error [ "resume failed: " ^ e ]
           | Ok r ->
             let problems =
-              (if r.Fleet_chaos.violations <> [] then
-                 [ Printf.sprintf "jobs=%d: resumed run violated invariants" j ]
-               else [])
-              @ (if not (String.equal (fc_digest r) (fc_digest reference)) then
-                   [ Printf.sprintf "jobs=%d: digest diverged:\n  %s\n  %s" j
-                       (fc_digest reference) (fc_digest r) ]
-                 else [])
-              @
-              if fc_detections r <> fc_detections reference then
-                [ Printf.sprintf "jobs=%d: detections %d/%d vs reference" j
-                    (fc_detections r) (fc_detections reference) ]
-              else []
+              List.filter_map
+                (fun (bad, problem) -> if bad then Some problem else None)
+                [
+                  (r.Fleet_chaos.violations <> [], "resumed run violated invariants");
+                  ( fc_digest r <> fc_digest reference,
+                    Printf.sprintf "digest diverged:\n  %s\n  %s"
+                      (fc_digest reference) (fc_digest r) );
+                  ( fc_detections r <> fc_detections reference,
+                    Printf.sprintf "detections %d/%d vs reference" (fc_detections r)
+                      (fc_detections reference) );
+                ]
             in
-            if problems = [] then
-              Printf.printf
-                "jobs=%d: killed at round %d, resumed, converged — digest and \
-                 %d/%d detections bit-identical to the unkilled run\n"
-                j kill_at (fc_detections r) (fc_detections reference);
-            problems)
-      all_jobs
+            if problems <> [] then Error problems
+            else
+              Ok
+                (Printf.sprintf
+                   "killed at round %d, resumed, converged — digest and %d/%d \
+                    detections bit-identical to the unkilled run"
+                   kill_at (fc_detections r) (fc_detections reference)))
   in
-  if failures = [] && reference.Fleet_chaos.violations = [] then `Ok ()
-  else begin
-    List.iter (fun m -> Printf.eprintf "ratool fleet-chaos: %s\n" m) failures;
-    prerr_endline "ratool fleet-chaos: crash-recovery proof failed";
-    exit 1
-  end
+  if problems <> [] || reference.Fleet_chaos.violations <> [] then
+    fail ~cmd:"fleet-chaos" (problems @ [ "crash-recovery proof failed" ]);
+  `Ok ()
 
 let run_fleet_chaos devices jobs shards seed rounds check_jobs journal_dir
     kill_at resume =
@@ -747,11 +727,9 @@ let run_fleet_chaos devices jobs shards seed rounds check_jobs journal_dir
         | Error e -> `Error (false, "resume failed: " ^ e)
         | Ok r ->
           print_string (Fleet_chaos.render r);
-          if r.Fleet_chaos.violations = [] then `Ok ()
-          else begin
-            prerr_endline "ratool fleet-chaos: convergence invariants violated";
-            exit 1
-          end
+          if r.Fleet_chaos.violations <> [] then
+            fail ~cmd:"fleet-chaos" [ "convergence invariants violated" ];
+          `Ok ()
       end
     | None, false ->
       let journal =
@@ -764,33 +742,23 @@ let run_fleet_chaos devices jobs shards seed rounds check_jobs journal_dir
           ~max_rounds:rounds ()
       in
       print_string (Fleet_chaos.render r);
-      (match journal_dir with
-      | Some dir ->
-        Printf.printf "campaign journal recorded in %s/ (ratool replay --journal %s)\n"
-          dir dir
-      | None -> ());
-      let mismatches =
-        List.filter_map
-          (fun j ->
+      Option.iter
+        (fun dir ->
+          Printf.printf
+            "campaign journal recorded in %s/ (ratool replay --journal %s)\n" dir dir)
+        journal_dir;
+      let problems =
+        recheck ~label:"jobs" check_jobs (fun j ->
             let r' =
               Fleet_chaos.run ~devices ~seed ~jobs:j ?shards ~max_rounds:rounds ()
             in
-            if String.equal (fc_digest r) (fc_digest r') then begin
-              Printf.printf "jobs=%d: counters bit-identical\n" j;
-              None
-            end
-            else
-              Some
-                (Printf.sprintf "jobs=%d diverged:\n  %s\n  %s" j (fc_digest r)
-                   (fc_digest r')))
-          check_jobs
+            if String.equal (fc_digest r) (fc_digest r') then
+              Ok "counters bit-identical"
+            else diverged (fc_digest r) (fc_digest r'))
       in
-      if r.Fleet_chaos.violations = [] && mismatches = [] then `Ok ()
-      else begin
-        List.iter (fun m -> Printf.eprintf "ratool fleet-chaos: %s\n" m) mismatches;
-        prerr_endline "ratool fleet-chaos: convergence invariants violated";
-        exit 1
-      end
+      if r.Fleet_chaos.violations <> [] || problems <> [] then
+        fail ~cmd:"fleet-chaos" (problems @ [ "convergence invariants violated" ]);
+      `Ok ()
 
 let journal_dir_arg =
   Arg.(
@@ -862,66 +830,49 @@ let fleet_chaos_cmd =
 
 (* --- replay ------------------------------------------------------------------ *)
 
-(* One verify-mode replay per jobs value; [replay_one] prints per-jobs
-   progress and [finish] renders the last verified result. *)
-let replay_all ~all_jobs ~replay_one ~finish =
-  let outcome =
-    List.fold_left
-      (fun acc j ->
-        match acc with
-        | Error _ -> acc
-        | Ok _ -> (
-          match replay_one j with
-          | Error e -> Error (j, e)
-          | Ok r ->
-            Printf.printf
-              "jobs=%d: replayed bit-identically — every record and the \
-               final digest verified\n"
-              j;
-            Ok (Some r)))
-      (Ok None) all_jobs
-  in
-  match outcome with
-  | Error (j, e) ->
-    Printf.eprintf "ratool replay: jobs=%d diverged from the journal: %s\n" j e;
-    exit 1
-  | Ok None -> `Ok ()
-  | Ok (Some r) ->
-    print_newline ();
-    finish r
-
-(* The journal's leading campaign record names the experiment that wrote
-   it, so replay dispatches on that — the same directory flag serves every
-   journaled campaign kind. *)
-let journal_experiment disk =
-  match Ra_journal.Journal.recover disk with
-  | Error _ -> None
-  | Ok r ->
-    if Array.length r.Ra_journal.Journal.events = 0 then None
-    else Ra_journal.Event.find_s r.Ra_journal.Journal.events.(0) "experiment"
-
+(* One verify-mode replay per jobs value, dispatched on the experiment the
+   journal's campaign header names — the same directory flag serves every
+   journaled campaign kind — then the last verified result rendered. *)
 let run_replay jobs dir check_jobs =
   if jobs < 1 then `Error (true, "--jobs must be at least 1")
   else begin
     let disk = Ra_journal.Disk.file ~dir in
     let all_jobs = jobs :: List.filter (fun j -> j <> jobs) check_jobs in
-    match journal_experiment disk with
+    let verify replay_one =
+      let last = ref None in
+      let problems =
+        recheck ~label:"jobs" all_jobs (fun j ->
+            match replay_one j with
+            | Error e -> Error [ "diverged from the journal: " ^ e ]
+            | Ok r ->
+              last := Some r;
+              Ok "replayed bit-identically — every record and the final digest \
+                  verified")
+      in
+      if problems <> [] then
+        fail ~cmd:"replay" (problems @ [ "replay verification failed" ]);
+      print_newline ();
+      !last
+    in
+    let experiment =
+      match Ra_journal.Journal.recover disk with
+      | Error _ -> None
+      | Ok r -> Campaign.experiment r.Ra_journal.Journal.events
+    in
+    match experiment with
     | Some "fleet-roll" ->
-      replay_all ~all_jobs
-        ~replay_one:(fun j -> Fleet_roll.replay ~disk ~jobs:j ())
-        ~finish:(fun r ->
-          print_string (Fleet_roll.render r);
-          `Ok ())
+      Option.iter
+        (fun r -> print_string (Fleet_roll.render r))
+        (verify (fun j -> Fleet_roll.replay ~disk ~jobs:j ()));
+      `Ok ()
     | _ ->
-      replay_all ~all_jobs
-        ~replay_one:(fun j -> Fleet_chaos.replay ~disk ~jobs:j ())
-        ~finish:(fun r ->
+      Option.iter
+        (fun r ->
           print_string (Fleet_chaos.render r);
-          if r.Fleet_chaos.violations = [] then `Ok ()
-          else begin
-            prerr_endline "ratool replay: replayed campaign violated invariants";
-            exit 1
-          end)
+          if r.Fleet_chaos.violations <> [] then
+            fail ~cmd:"replay" [ "replayed campaign violated invariants" ])
+        (verify (fun j -> Fleet_chaos.replay ~disk ~jobs:j ()));
+      `Ok ()
   end
 
 let replay_cmd =
@@ -976,24 +927,15 @@ let run_bench () full out_dir against tolerance =
   match against with
   | None -> `Ok ()
   | Some dir ->
-    let ok =
-      List.for_all
-        (fun (file, current) ->
-          let path = Filename.concat dir file in
-          match Benchkit.read_file path with
-          | exception (Benchkit.Parse_error msg | Sys_error msg) ->
-            Printf.eprintf "bench: cannot read baseline %s: %s\n" path msg;
-            false
-          | baseline ->
-            Printf.printf "== %s vs %s\n" current.Benchkit.suite path;
-            let report, ok =
-              Benchkit.render_comparison ~tolerance
-                (Benchkit.compare_suites ~tolerance ~baseline ~current)
-            in
-            print_string report;
-            ok)
-        suites
+    let report, ok =
+      Benchkit.compare_all ~tolerance ~keep:(fun _ -> true)
+        (List.map
+           (fun (file, current) ->
+             let path = Filename.concat dir file in
+             ("current run vs " ^ path, fun () -> (Benchkit.read_file path, current)))
+           suites)
     in
+    print_string report;
     if ok then `Ok () else `Error (false, "benchmark regression beyond tolerance")
 
 let bench_cmd =
@@ -1140,18 +1082,13 @@ let loadgen_cmd =
     | Ok c ->
         print_string (Ra_server.Tcp.render_campaign c);
         let expected = Ra_server.Loadgen.expected_tampered ~devices in
-        if c.Ra_server.Tcp.acked <> devices * reports then begin
-          prerr_endline "ratool loadgen: campaign did not retire every report";
-          exit 1
-        end
-        else if c.Ra_server.Tcp.tampered <> expected then begin
-          Printf.eprintf
-            "ratool loadgen: verdict table shows %d tampered devices, plan \
-             infected %d\n"
-            c.Ra_server.Tcp.tampered expected;
-          exit 1
-        end
-        else `Ok ()
+        if c.Ra_server.Tcp.acked <> devices * reports then
+          fail ~cmd:"loadgen" [ "campaign did not retire every report" ];
+        if c.Ra_server.Tcp.tampered <> expected then
+          fail ~cmd:"loadgen"
+            [ Printf.sprintf "verdict table shows %d tampered devices, plan infected %d"
+                c.Ra_server.Tcp.tampered expected ];
+        `Ok ()
   in
   let info = Cmd.info "loadgen" ~doc in
   Cmd.v info
@@ -1189,11 +1126,9 @@ let server_chaos_cmd =
           ~capacity ~seed ()
       in
       print_string (Ra_server.Server_chaos.render report);
-      if Ra_server.Server_chaos.ok report then `Ok ()
-      else begin
-        prerr_endline "ratool server-chaos: recovery invariants violated";
-        exit 1
-      end
+      if not (Ra_server.Server_chaos.ok report) then
+        fail ~cmd:"server-chaos" [ "recovery invariants violated" ];
+      `Ok ()
     end
   in
   let info = Cmd.info "server-chaos" ~doc in

@@ -7,7 +7,8 @@ type device_id = string
    front is gigabytes of live heap that the GC then walks on every minor
    collection — the roll-call wall ROADMAP item 2 describes. A virtual
    device is created inside the roll-call task that attests it and dropped
-   as soon as its report is in, so the live set stays O(shard width). *)
+   as soon as its report is in, so the live set stays one device per
+   domain. *)
 type entry =
   | Materialized of Ra_device.Device.t
   | Virtual of Ra_device.Device.config * (Ra_device.Device.t -> unit) option
@@ -106,9 +107,9 @@ let hit_rate rc =
    not over shards: segment s covers devices [s*1024, (s+1)*1024), whatever
    the shard count, and the fleet root is the Merkle root over the segment
    roots. Decoupling the tree shape from the parallel fan-out is what makes
-   the fleet root invariant across --shards and --jobs; shards only decide
-   which domain computes which contiguous run of segments. Shard roots
-   (the root over each shard's own segment roots) are the diagnosis handle:
+   the fleet root invariant across --shards and --jobs; shards only group
+   contiguous runs of segment roots. Shard roots (the root over each
+   shard's own segment roots) are the diagnosis handle:
    a divergent fleet root is localized by comparing shard roots, then the
    shard's segment roots, then the 1024 reports of the odd segment out. *)
 let segment_size = 1024
@@ -123,14 +124,14 @@ let verdict_byte = function
 (* Report leaf: id, verdict and the report MAC — the verifier-checked
    transcript digest, so two runs agree on a leaf only if the device sent
    byte-identical evidence. *)
-let report_leaf (id, verdict, mac) =
+let report_leaf (id, verdict, mac, _) =
   Bytes.concat Bytes.empty
     [ Bytes.of_string id; Bytes.of_string (verdict_byte verdict); mac ]
 
 let segment_count n = (n + segment_size - 1) / segment_size
 
 (* Attest one roster entry: the full on-demand protocol against a fresh
-   verifier view. Returns the verdict, the report MAC (the Merkle leaf
+   verifier view. Returns the id, verdict, report MAC (the Merkle leaf
    material) and this device's memo-hit delta, so the caller never has to
    hold the device itself — materialized or virtual, the entry is dropped
    when the task returns. *)
@@ -152,18 +153,66 @@ let attest_entry mp_config ~net_delay (id, entry) =
       mac := events.Protocol.report.Report.mac)
     ();
   Ra_device.Device.run dev;
-  ((id, !verdict, !mac), memo_hits dev.Ra_device.Device.cache - hits0)
+  (id, !verdict, !mac, memo_hits dev.Ra_device.Device.cache - hits0)
 
-(* Counter barrier: store counters are read before the fan-out and after it
-   has fully settled. WHICH party computes a shared digest first is a race
-   under [jobs] > 1, but the store computes each distinct content exactly
-   once, so the deltas — and therefore the whole result — are invariant
-   under [jobs] and [shards]. *)
-let assemble t ~shards ~shard_roots ~fleet_root ~results ~memo_hits
-    ~lookups0 ~computed0 ~batched0 ~journal =
+(* Devices per pool task: one for fleets under a segment, so small fleets
+   keep their per-device fan-out; above that, runs of up to a segment,
+   about eight per domain, so a million-device roster posts thousands of
+   closures rather than a million. Results do not depend on it. *)
+let chunk_size ~jobs n =
+  if n < segment_size then 1 else max 1 (min segment_size (n / (8 * jobs)))
+
+(* The one roll-call body. Devices are fully independent (own engine, own
+   memory, own verifier view), so every roster entry is attested on the
+   deterministic domain pool — virtual entries materialized inside the task
+   and dropped when it returns, so the live set is one device per domain.
+   Segment roots are built from the results after the pool barrier, and
+   [shards] only decides how those roots group into [shard_roots]: a
+   segment is never split, so the request is clamped to the segment count.
+
+   Counter barrier: store counters are read before the fan-out and after
+   it has fully settled. WHICH party computes a shared digest first is a
+   race under [jobs] > 1, but the store computes each distinct content
+   exactly once, so the deltas — and therefore the whole result — are
+   invariant under [jobs] and [shards]. *)
+let sharded_roll_call t ?jobs ?(shards = 1) ?journal
+    ?(net_delay = Timebase.ms 40) mp_config =
+  let roster = Array.of_list (List.rev t.roster) in
+  let n = Array.length roster in
+  let lookups0 = Ra_cache.Store.lookups t.store in
+  let computed0 = Ra_cache.Store.computed t.store in
+  let batched0 = Ra_cache.Store.batched_computes t.store in
+  let jobs = max 1 (Option.value jobs ~default:(Ra_parallel.default_jobs ())) in
+  let results =
+    Ra_parallel.parallel_init ~jobs ~chunk:(chunk_size ~jobs n) n (fun i ->
+        attest_entry mp_config ~net_delay roster.(i))
+  in
+  let memo_hits = Array.fold_left (fun acc (_, _, _, d) -> acc + d) 0 results in
+  let nsegs = segment_count n in
+  let seg_roots =
+    Array.init nsegs (fun s ->
+        let lo = s * segment_size in
+        let leaves =
+          Array.init (min segment_size (n - lo)) (fun k -> report_leaf results.(lo + k))
+        in
+        Merkle.root_of_leaves fleet_hash ~leaves)
+  in
+  let nshards = if n = 0 then 1 else min (max 1 shards) nsegs in
+  let segs_per, extra = (nsegs / nshards, nsegs mod nshards) in
+  let seg_lo s = (s * segs_per) + min s extra in
+  let shard_roots =
+    if n = 0 then [||]
+    else
+      Array.init nshards (fun s ->
+          Merkle.root_of_leaves fleet_hash
+            ~leaves:(Array.sub seg_roots (seg_lo s) (seg_lo (s + 1) - seg_lo s)))
+  in
+  let fleet_root =
+    if n = 0 then Bytes.empty else Merkle.root_of_leaves fleet_hash ~leaves:seg_roots
+  in
   let clean = ref [] and tampered = ref [] in
   Array.iter
-    (fun (id, verdict, _mac) ->
+    (fun (id, verdict, _, _) ->
       match verdict with
       | Some Verifier.Clean -> clean := id :: !clean
       | Some Verifier.Tampered | None -> tampered := id :: !tampered)
@@ -180,7 +229,7 @@ let assemble t ~shards ~shard_roots ~fleet_root ~results ~memo_hits
       hashed = computed;
       batch_hashed = Ra_cache.Store.batched_computes t.store - batched0;
       distinct_blocks = Ra_cache.Store.distinct_contents t.store;
-      shards;
+      shards = nshards;
       shard_roots;
       fleet_root;
     }
@@ -213,107 +262,3 @@ let assemble t ~shards ~shard_roots ~fleet_root ~results ~memo_hits
          ]);
     Journal.commit j);
   result
-
-(* Devices are fully independent (own engine, own memory, own verifier
-   view), so the roll call fans out over the deterministic domain pool,
-   one task per device. *)
-let roll_call t ?jobs ?journal ?(net_delay = Timebase.ms 40) mp_config =
-  let roster = Array.of_list (List.rev t.roster) in
-  let n = Array.length roster in
-  let lookups0 = Ra_cache.Store.lookups t.store in
-  let computed0 = Ra_cache.Store.computed t.store in
-  let batched0 = Ra_cache.Store.batched_computes t.store in
-  let attested =
-    Ra_parallel.parallel_init ?jobs n (fun i ->
-        attest_entry mp_config ~net_delay roster.(i))
-  in
-  let results = Array.map fst attested in
-  let memo_hits = Array.fold_left (fun acc (_, d) -> acc + d) 0 attested in
-  let shard_roots, fleet_root =
-    if n = 0 then ([||], Bytes.empty)
-    else begin
-      let leaves = Array.map report_leaf results in
-      let seg_roots =
-        Array.init (segment_count n) (fun s ->
-            let lo = s * segment_size in
-            let len = min segment_size (n - lo) in
-            Merkle.root_of_leaves fleet_hash ~leaves:(Array.sub leaves lo len))
-      in
-      let root = Merkle.root_of_leaves fleet_hash ~leaves:seg_roots in
-      ([| root |], root)
-    end
-  in
-  assemble t ~shards:1 ~shard_roots ~fleet_root ~results ~memo_hits ~lookups0
-    ~computed0 ~batched0 ~journal
-
-(* Sharded roll call: the roster's segments are split into [shards]
-   contiguous runs, one pool task per shard. Each task walks its own
-   devices sequentially — materializing virtual entries on the fly — and
-   reduces every finished segment to its root immediately, so a shard's
-   live state is one segment of leaves plus its report triples. The merge
-   at the pool barrier is pure: concatenation in shard order is roster
-   order, and the fleet root over the concatenated segment roots is the
-   same root the flat roll call computes. *)
-let sharded_roll_call t ?jobs ?shards ?journal ?(net_delay = Timebase.ms 40)
-    mp_config =
-  let roster = Array.of_list (List.rev t.roster) in
-  let n = Array.length roster in
-  if n = 0 then
-    let lookups0 = Ra_cache.Store.lookups t.store in
-    let computed0 = Ra_cache.Store.computed t.store in
-    let batched0 = Ra_cache.Store.batched_computes t.store in
-    assemble t ~shards:1 ~shard_roots:[||] ~fleet_root:Bytes.empty
-      ~results:[||] ~memo_hits:0 ~lookups0 ~computed0 ~batched0 ~journal
-  else begin
-    let requested =
-      max 1 (Option.value shards ~default:(Ra_parallel.default_jobs ()))
-    in
-    let nsegs = segment_count n in
-    (* a segment is never split across shards, so at most one shard per
-       segment is meaningful *)
-    let nshards = min requested nsegs in
-    let segs_per, extra = (nsegs / nshards, nsegs mod nshards) in
-    let seg_lo s = (s * segs_per) + min s extra in
-    let lookups0 = Ra_cache.Store.lookups t.store in
-    let computed0 = Ra_cache.Store.computed t.store in
-    let batched0 = Ra_cache.Store.batched_computes t.store in
-    let shard_outputs =
-      Ra_parallel.parallel_init ?jobs nshards (fun s ->
-          let seg0 = seg_lo s and seg1 = seg_lo (s + 1) in
-          let dev_lo = seg0 * segment_size in
-          let dev_hi = min n (seg1 * segment_size) in
-          let results = Array.make (dev_hi - dev_lo) ("", None, Bytes.empty) in
-          let memo_hits = ref 0 in
-          let seg_roots = Array.make (seg1 - seg0) Bytes.empty in
-          for seg = seg0 to seg1 - 1 do
-            let lo = seg * segment_size in
-            let len = min segment_size (n - lo) in
-            let leaves =
-              Array.init len (fun k ->
-                  let r, d =
-                    attest_entry mp_config ~net_delay roster.(lo + k)
-                  in
-                  results.(lo + k - dev_lo) <- r;
-                  memo_hits := !memo_hits + d;
-                  report_leaf r)
-            in
-            seg_roots.(seg - seg0) <- Merkle.root_of_leaves fleet_hash ~leaves
-          done;
-          (results, seg_roots, !memo_hits))
-    in
-    let results = Array.concat (Array.to_list (Array.map (fun (r, _, _) -> r) shard_outputs)) in
-    let memo_hits = Array.fold_left (fun acc (_, _, d) -> acc + d) 0 shard_outputs in
-    let shard_roots =
-      Array.map
-        (fun (_, seg_roots, _) -> Merkle.root_of_leaves fleet_hash ~leaves:seg_roots)
-        shard_outputs
-    in
-    let all_seg_roots =
-      Array.concat (Array.to_list (Array.map (fun (_, sr, _) -> sr) shard_outputs))
-    in
-    let fleet_root = Merkle.root_of_leaves fleet_hash ~leaves:all_seg_roots in
-    assemble t ~shards:nshards ~shard_roots ~fleet_root ~results ~memo_hits
-      ~lookups0 ~computed0 ~batched0 ~journal
-  end
-
-let attest_all t ?net_delay mp_config = roll_call t ~jobs:1 ?net_delay mp_config

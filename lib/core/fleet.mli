@@ -5,14 +5,14 @@
     roster rather than per-device key material, and a leaked device key
     compromises only that device.
 
-    Roll calls scale two ways: the flat {!roll_call} fans out one pool
-    task per device, and {!sharded_roll_call} splits the roster into
-    contiguous shards — one task per shard, virtual devices materialized
-    inside the task — so a million-device fleet never holds a million
-    simulators live. Both aggregate evidence hierarchically: device
-    reports are reduced to fixed-width segment Merkle roots and those to
-    one fleet root, which is bit-identical for any [jobs], any [shards],
-    and across the two entry points. *)
+    One roll-call body, {!sharded_roll_call}, serves every fleet size:
+    [jobs] sets the parallelism (devices fan out over the domain pool,
+    virtual devices materialized inside the task that attests them, so a
+    million-device fleet never holds a million simulators live), and
+    [shards] only groups roots. Evidence is aggregated hierarchically:
+    device reports are reduced to fixed-width segment Merkle roots and
+    those to one fleet root, which is bit-identical for any [jobs] and any
+    [shards]. *)
 
 open Ra_sim
 
@@ -23,7 +23,7 @@ type device_id = string
 val create : ?stripes:int -> master_secret:Bytes.t -> unit -> t
 (** [stripes] sizes the shared digest store's lock striping (see
     {!Ra_cache.Store.create}); the default suits tens of concurrent
-    shards. *)
+    domains. *)
 
 val derive_key : t -> device_id -> Bytes.t
 (** The 32-byte per-device attestation key. Deterministic per (master,
@@ -54,7 +54,7 @@ val provision_virtual :
     whichever roll-call task attests it, [tamper] is applied to the fresh
     instance, and the simulator is dropped once its report is in. This is
     what keeps million-device fleets within memory — the live set is one
-    shard's worth of devices, not the roster. The per-device memo cache
+    device per domain, not the roster. The per-device memo cache
     does not persist across roll calls for virtual devices (each call
     attests a fresh instance); use {!provision} when warm-cache behaviour
     matters. Same key/seed/store overrides as {!provision}. *)
@@ -85,7 +85,7 @@ type roll_call = {
           prover's round and the verifier's report check batch their
           digests *)
   distinct_blocks : int;  (** distinct block contents in the store *)
-  shards : int;  (** effective shard count (1 for the flat entry point) *)
+  shards : int;  (** effective shard count (requests clamp to the segment count) *)
   shard_roots : Bytes.t array;
       (** per-shard Merkle roots over that shard's segment roots — the
           handle for localizing a divergent shard without recomputing the
@@ -105,23 +105,6 @@ val segment_size : int
 (** Devices per aggregation segment (1024): the fixed fan-in that
     decouples the fleet Merkle tree's shape from the shard count. *)
 
-val roll_call :
-  t ->
-  ?jobs:int ->
-  ?journal:Ra_journal.Journal.t ->
-  ?net_delay:Timebase.t ->
-  Mp.config ->
-  roll_call
-(** Run the full on-demand protocol against every enrolled device and
-    partition the roster by verdict. Devices are independent simulations,
-    so the roll call fans out over the {!Ra_parallel} domain pool; the
-    result — verdicts, cache counters and Merkle roots alike — is
-    bit-identical for any [jobs] value, because the shared store computes
-    each distinct content exactly once regardless of arrival order. With
-    [journal], a committed "roll-call" provenance record (verdict
-    partition sizes, cache and store counters, fleet root and
-    concatenated shard roots) is appended after the fan-out settles. *)
-
 val sharded_roll_call :
   t ->
   ?jobs:int ->
@@ -130,15 +113,17 @@ val sharded_roll_call :
   ?net_delay:Timebase.t ->
   Mp.config ->
   roll_call
-(** {!roll_call} restructured for scale: the roster's segments are split
-    into [shards] (default {!Ra_parallel.default_jobs}) contiguous runs,
-    one pool task per shard, each walking its devices sequentially and
-    reducing finished segments to their roots immediately. Requested
-    shard counts are clamped to the segment count — a segment is never
-    split — and the effective count is reported in [shards]. The verdict
-    partition, every counter and the fleet root are bit-identical to the
-    flat {!roll_call} for any [shards] and [jobs] combination. *)
-
-val attest_all : t -> ?net_delay:Timebase.t -> Mp.config -> roll_call
-(** {!roll_call} with [jobs:1] (kept for callers that want the sequential
-    path explicitly). *)
+(** Run the full on-demand protocol against every enrolled device and
+    partition the roster by verdict. Devices are independent simulations,
+    so they fan out over the {!Ra_parallel} domain pool ([jobs], default
+    {!Ra_parallel.default_jobs}); fleets under {!segment_size} devices get
+    one pool task per device, larger ones contiguous runs. Segment roots
+    are built after the pool barrier, and [shards] (default 1) only
+    decides how they group into [shard_roots]: requests are clamped to the
+    segment count — a segment is never split — and the effective count is
+    reported in [shards]. The verdict partition, every counter and the
+    fleet root are bit-identical for any [jobs] and [shards], because the
+    shared store computes each distinct content exactly once regardless of
+    arrival order. With [journal], a committed "roll-call" provenance
+    record (verdict partition sizes, cache and store counters, fleet root
+    and concatenated shard roots) is appended after the fan-out settles. *)

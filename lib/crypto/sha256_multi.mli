@@ -1,20 +1,18 @@
-(** Interleaved multi-way SHA-256.
+(** Interleaved two-way SHA-256.
 
     One compress round chain has a serial dependency spine, so a scalar
     loop leaves the core's execution ports half idle. Weaving the rounds
-    of several {e independent} blocks through one instruction stream
-    fills those bubbles and buys a large constant factor on exactly the
+    of two {e independent} blocks through one instruction stream fills
+    those bubbles and buys a large constant factor on exactly the
     workload attestation produces: thousands of same-sized blocks per
     measurement round. Generated by [tools/gen_sha256_multi.py]. *)
 
-val digest_many : ?lanes:int -> Bytes.t array -> Bytes.t array
+val digest_many : Bytes.t array -> Bytes.t array
 (** [digest_many msgs] returns the SHA-256 digest of every message,
-    bit-identical to [Array.map Sha256.digest msgs] in any configuration.
+    bit-identical to [Array.map Sha256.digest msgs].
 
-    [lanes] (default [2]) selects the interleaving width and must be 1, 2
-    or 4; 2 is the measured sweet spot on x86-64 (beyond it the 8 state
-    words per lane overflow the register file and spills eat the ILP
-    gain — see DESIGN.md). Messages are processed [lanes] at a time in
-    lockstep over their common whole-block prefix; ragged tails, padding
-    and any batch remainder finish on the scalar path. Raises
-    [Invalid_argument] on an unsupported lane count. *)
+    Messages are processed two at a time in lockstep over their common
+    whole-block prefix; ragged tails, padding and an odd last message
+    finish on the scalar path. Two lanes is the measured optimum on
+    x86-64: wider kernels overflow the register file and spills eat the
+    gain (see DESIGN.md). *)

@@ -83,23 +83,18 @@ let crypto_metrics ?(quick = false) () =
   ]
   @
   (* Batch path over the same input bytes, re-cut as 1 KiB messages (the
-     shape one fleet measurement round produces). The lane sweep records
-     the interleaving win — and where register pressure takes it back —
-     so a regression in either direction trips compare.exe. *)
+     shape one fleet measurement round produces), next to the scalar
+     per-message loop it replaces, so the interleaving win stays visible
+     and a regression trips compare.exe. *)
   let msg = 1024 in
   let batch =
     Array.init (size / msg) (fun i -> Bytes.sub buffer (i * msg) msg)
   in
-  let lanes_metric name lanes =
-    throughput_metric ~name ~bytes:size ~budget (fun () ->
-        ignore (Ra_crypto.Sha256_multi.digest_many ~lanes batch))
-  in
   [
     throughput_metric ~name:"sha256_batch_mb_s" ~bytes:size ~budget (fun () ->
         ignore (Ra_crypto.Algo.digest_many Ra_crypto.Algo.SHA_256 batch));
-    lanes_metric "sha256_lanes1_mb_s" 1;
-    lanes_metric "sha256_lanes2_mb_s" 2;
-    lanes_metric "sha256_lanes4_mb_s" 4;
+    throughput_metric ~name:"sha256_lanes1_mb_s" ~bytes:size ~budget (fun () ->
+        ignore (Array.map Ra_crypto.Sha256.digest batch));
     (let key = Bytes.of_string "bench-key" in
      let pairs =
        Array.map
@@ -156,14 +151,14 @@ let fleet_metrics ?jobs () =
     (Ra_malware.Malware.install infected ~rng ~block:3 ~priority:8
        Ra_malware.Malware.Static);
   let roll, roll_s =
-    wall (fun () -> Fleet.roll_call fleet ?jobs Mp.default_config)
+    wall (fun () -> Fleet.sharded_roll_call fleet ?jobs Mp.default_config)
   in
   (* Second roll call over the same (unchanged) fleet: every device's
      per-block memo is warm, so [cache_hits] — pinned at zero on the cold
      pass by construction — becomes a real, gate-able count: any memo
      regression drops it and the exact comparison fails. *)
   let warm, warm_s =
-    wall (fun () -> Fleet.roll_call fleet ?jobs Mp.default_config)
+    wall (fun () -> Fleet.sharded_roll_call fleet ?jobs Mp.default_config)
   in
   [
     seconds_metric ~name:"fleet_roll_call_s" roll_s;
@@ -220,23 +215,14 @@ let fleet_sharded_metrics ?jobs () =
     done;
     fleet
   in
-  let signature (r : Fleet.roll_call) =
-    ( List.sort compare r.Fleet.clean,
-      List.sort compare r.Fleet.tampered,
-      r.Fleet.digest_requests,
-      r.Fleet.cache_hits,
-      r.Fleet.store_hits,
-      r.Fleet.hashed,
-      r.Fleet.batch_hashed,
-      r.Fleet.distinct_blocks )
-  in
+  (* everything but the shard grouping, fleet root included *)
+  let unsharded (r : Fleet.roll_call) = { r with Fleet.shards = 0; shard_roots = [||] } in
   let reference, sharded_s =
     wall (fun () -> Fleet.sharded_roll_call (build ()) ?jobs ~shards:2 Mp.default_config)
   in
   let matches shards jobs =
-    let r = Fleet.sharded_roll_call (build ()) ~jobs ~shards Mp.default_config in
-    Bytes.equal r.Fleet.fleet_root reference.Fleet.fleet_root
-    && signature r = signature reference
+    unsharded (Fleet.sharded_roll_call (build ()) ~jobs ~shards Mp.default_config)
+    = unsharded reference
   in
   let checks = [ matches 1 1; matches 3 2 ] in
   [
@@ -830,3 +816,26 @@ let render_comparison ~tolerance comparisons =
        Printf.sprintf "%d of %d metrics regressed beyond %.0f%%\n"
          (List.length failures) (List.length comparisons) (tolerance *. 100.));
   (Buffer.contents buf, failures = [])
+
+(* Every pair is compared and reported — a failing pair never hides the
+   ones after it, so one gate run shows every regression at once. *)
+let compare_all ~tolerance ~keep pairs =
+  let buf = Buffer.create 1024 in
+  let ok =
+    List.fold_left
+      (fun ok (label, load) ->
+        match load () with
+        | exception (Parse_error msg | Sys_error msg) ->
+          Buffer.add_string buf (Printf.sprintf "== %s: cannot read: %s\n" label msg);
+          false
+        | baseline, current ->
+          Buffer.add_string buf (Printf.sprintf "== %s: %s\n" baseline.suite label);
+          let baseline = { baseline with metrics = List.filter keep baseline.metrics } in
+          let report, pair_ok =
+            render_comparison ~tolerance (compare_suites ~tolerance ~baseline ~current)
+          in
+          Buffer.add_string buf report;
+          ok && pair_ok)
+      true pairs
+  in
+  (Buffer.contents buf, ok)

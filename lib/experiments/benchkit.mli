@@ -122,3 +122,16 @@ val render_comparison :
   tolerance:float -> comparison list -> string * bool
 (** Human-readable table plus [true] iff every verdict is
     {!Ok_within_tolerance}. *)
+
+val compare_all :
+  tolerance:float ->
+  keep:(metric -> bool) ->
+  (string * (unit -> suite * suite)) list ->
+  string * bool
+(** The comparison loop behind [bench/compare.exe] and [ratool bench
+    --against]: for each [(label, load)] pair, [load ()] gives the
+    (baseline, current) suites — a {!Parse_error} or [Sys_error] it raises
+    fails that pair — and the baseline metrics [keep] selects are
+    compared and rendered under a "== suite: label" header.
+    Every pair is compared and reported, even after one fails; the flag is
+    [true] iff all of them passed. *)

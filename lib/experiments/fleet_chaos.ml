@@ -152,32 +152,20 @@ module J = Ra_journal.Journal
 module Ev = Ra_journal.Event
 module Dsk = Ra_journal.Disk
 
-let campaign_event ~devices ~seed ~max_rounds =
-  Ev.make "campaign"
-    [
-      ("experiment", Ev.S "fleet-chaos");
-      ("devices", Ev.I devices);
-      ("seed", Ev.I seed);
-      ("max-rounds", Ev.I max_rounds);
-    ]
+let experiment = "fleet-chaos"
 
-let campaign_end_event report =
-  Ev.make "campaign-end" [ ("digest", Ev.S report.Supervisor.counter_digest) ]
+let start_campaign j ~devices ~seed ~max_rounds =
+  Campaign.start j ~experiment
+    [ ("devices", devices); ("seed", seed); ("max-rounds", max_rounds) ]
+
+let finish_campaign j report =
+  Campaign.finish j [ ("digest", Ev.S report.Supervisor.counter_digest) ]
 
 let parse_campaign events =
-  if Array.length events = 0 then Error "journal is empty"
-  else begin
-    let e = events.(0) in
-    if e.Ev.tag <> "campaign" then
-      Error "journal does not start with a campaign record"
-    else if Ev.find_s e "experiment" <> Some "fleet-chaos" then
-      Error "journal records a different experiment"
-    else
-      match (Ev.find_i e "devices", Ev.find_i e "seed", Ev.find_i e "max-rounds") with
-      | Some devices, Some seed, Some max_rounds when devices > 0 ->
-        Ok (devices, seed, max_rounds)
-      | _ -> Error "malformed campaign record"
-  end
+  match Campaign.params ~experiment ~keys:[ "devices"; "seed"; "max-rounds" ] events with
+  | Error _ as e -> e
+  | Ok [ devices; seed; max_rounds ] when devices > 0 -> Ok (devices, seed, max_rounds)
+  | Ok _ -> Error "malformed campaign record"
 
 let validate sup kinds report ~max_rounds =
   (* --- convergence invariants ------------------------------------------- *)
@@ -249,18 +237,10 @@ let finish ~devices ~seed ~jobs ~max_rounds sup kinds report =
   }
 
 let run ?(devices = 200) ?(seed = 7) ?(jobs = 1) ?shards ?(max_rounds = 20) ?journal () =
-  (match journal with
-  | Some j ->
-    J.append j (campaign_event ~devices ~seed ~max_rounds);
-    J.commit j
-  | None -> ());
+  Option.iter (start_campaign ~devices ~seed ~max_rounds) journal;
   let sup, kinds = build ~devices ~seed ~max_rounds ~journal () in
   let report = Supervisor.run ~jobs ?shards ~min_rounds ~max_rounds sup in
-  (match journal with
-  | Some j ->
-    J.append j (campaign_end_event report);
-    J.commit j
-  | None -> ());
+  Option.iter (fun j -> finish_campaign j report) journal;
   finish ~devices ~seed ~jobs ~max_rounds sup kinds report
 
 (* --- crash / resume / replay -------------------------------------------- *)
@@ -268,8 +248,7 @@ let run ?(devices = 200) ?(seed = 7) ?(jobs = 1) ?shards ?(max_rounds = 20) ?jou
 let record_killed ~disk ?(snapshot_every = 3) ?(devices = 200) ?(seed = 7)
     ?(jobs = 1) ?shards ?(max_rounds = 20) ~kill_at_round () =
   let j = J.create ~snapshot_every disk in
-  J.append j (campaign_event ~devices ~seed ~max_rounds);
-  J.commit j;
+  start_campaign j ~devices ~seed ~max_rounds;
   let sup, _ = build ~devices ~seed ~max_rounds ~journal:(Some j) () in
   let rec loop () =
     if Supervisor.rounds_run sup >= kill_at_round then true
@@ -287,60 +266,64 @@ let record_killed ~disk ?(snapshot_every = 3) ?(devices = 200) ?(seed = 7)
     (* the power goes out mid-append: leave a torn half-record on the WAL
        tail, exactly what recovery must detect and truncate *)
     disk.Dsk.append J.wal_file (Bytes.of_string "RJ\x00\x00\x00\x2a\x00")
-  else begin
+  else
     (* the campaign converged before round K; complete the journal *)
-    J.append j (campaign_end_event (Supervisor.report sup));
-    J.commit j
-  end;
+    finish_campaign j (Supervisor.report sup);
   killed
 
 let ( let* ) = Result.bind
 
-(* Re-execute the journaled prefix in verify mode (each re-emitted record
-   byte-compared against the recording), independently reconstruct the
-   state from snapshot + deltas, and demand both roads end at the same
-   bytes before continuing the campaign. The recover -> choose consistency
-   point -> validate -> resume skeleton is Journal.restart — the same
-   entry point the attestation server restarts through — with all the
-   fleet-chaos-specific verification living in the [validate] callback. *)
+(* The road resume and replay share: rebuild the world from the campaign
+   record of [recorded], re-execute its completed rounds under a
+   verify-mode journal (each re-emitted record byte-compared against the
+   recording; with [ended], the campaign-end too), then independently
+   reconstruct the state from snapshot + deltas and demand both roads end
+   at the same bytes. *)
+let reexecute ~jobs ~shards ~snapshot ~ended recorded =
+  let* devices, seed, max_rounds = parse_campaign recorded in
+  let rounds_done, keep = Supervisor.Recovery.completed_rounds recorded in
+  let* () =
+    if rounds_done = 0 then Error "no completed round in the journal"
+    else Ok ()
+  in
+  let vj = J.verifier recorded in
+  start_campaign vj ~devices ~seed ~max_rounds;
+  let sup, kinds = build ~devices ~seed ~max_rounds ~journal:(Some vj) () in
+  let base0 = Supervisor.serialize sup in
+  for _ = 1 to rounds_done do
+    Supervisor.round ~jobs ?shards sup
+  done;
+  if ended then finish_campaign vj (Supervisor.report sup);
+  let* () = Result.map_error (fun e -> "replay diverged: " ^ e) (J.verified vj) in
+  let base, after =
+    match snapshot with
+    | Some (_, covered, state) when covered <= keep -> (state, covered)
+    | _ -> (base0, 0)
+  in
+  let* recovered = Supervisor.Recovery.reconstruct ~base ~after recorded in
+  let* () =
+    if Bytes.equal recovered (Supervisor.serialize sup) then Ok ()
+    else
+      Error
+        "recovered state (snapshot + deltas) does not match the re-executed \
+         supervisor"
+  in
+  (* carry on from the recovered image, as a restarted verifier would *)
+  let* () = Supervisor.load sup recovered in
+  Ok (sup, kinds, devices, seed, max_rounds)
+
+(* Verify the journaled prefix up to the last committed round, then
+   continue the campaign. The recover -> choose consistency point ->
+   validate -> resume skeleton is Journal.restart — the same entry point
+   the attestation server restarts through — with all the
+   fleet-chaos-specific verification in the [validate] callback. *)
 let resume ~disk ?(jobs = 1) ?shards () =
   let ctx = ref None in
   let validate r ~keep =
-    let events = r.J.events in
-    let* devices, seed, max_rounds = parse_campaign events in
-    let rounds_done, _ = Supervisor.Recovery.completed_rounds events in
-    let* () =
-      if rounds_done = 0 then
-        Error "no completed round in the journal; nothing to resume"
-      else Ok ()
+    let* sup, kinds, devices, seed, max_rounds =
+      reexecute ~jobs ~shards ~snapshot:r.J.snapshot ~ended:false
+        (Array.sub r.J.events 0 keep)
     in
-    let prefix = Array.sub events 0 keep in
-    let vj = J.verifier prefix in
-    J.append vj (campaign_event ~devices ~seed ~max_rounds);
-    let sup, kinds = build ~devices ~seed ~max_rounds ~journal:(Some vj) () in
-    let base0 = Supervisor.serialize sup in
-    for _ = 1 to rounds_done do
-      Supervisor.round ~jobs ?shards sup
-    done;
-    let* () =
-      Result.map_error
-        (fun e -> "replay of the journaled prefix diverged: " ^ e)
-        (J.verified vj)
-    in
-    let base, after =
-      match r.J.snapshot with
-      | Some (_, covered, state) when covered <= keep -> (state, covered)
-      | _ -> (base0, 0)
-    in
-    let* recovered = Supervisor.Recovery.reconstruct ~base ~after prefix in
-    let* () =
-      if Bytes.equal recovered (Supervisor.serialize sup) then Ok ()
-      else
-        Error
-          "recovered state (snapshot + deltas) does not match the re-executed \
-           supervisor"
-    in
-    let* () = Supervisor.load sup recovered in
     ctx := Some (sup, kinds, devices, seed, max_rounds);
     Ok ()
   in
@@ -351,47 +334,20 @@ let resume ~disk ?(jobs = 1) ?shards () =
   | Some (sup, kinds, devices, seed, max_rounds) ->
     Supervisor.attach_journal sup rj;
     let report = Supervisor.run ~jobs ?shards ~min_rounds ~max_rounds sup in
-    J.append rj (campaign_end_event report);
-    J.commit rj;
+    finish_campaign rj report;
     Ok (finish ~devices ~seed ~jobs ~max_rounds sup kinds report)
 
 let replay ~disk ?(jobs = 1) ?shards () =
   let* r = J.recover disk in
-  let events = r.J.events in
-  let* devices, seed, max_rounds = parse_campaign events in
   let* () =
-    if
-      Array.length events > 0
-      && (events.(Array.length events - 1)).Ev.tag = "campaign-end"
-    then Ok ()
-    else
-      Error
-        "journal records an interrupted campaign (no campaign-end); resume it \
-         first: ratool fleet-chaos --resume"
+    Result.map_error
+      (fun e -> e ^ "; resume it first: ratool fleet-chaos --resume")
+      (Campaign.ended r.J.events)
   in
-  let rounds_done, keep = Supervisor.Recovery.completed_rounds events in
-  let vj = J.verifier events in
-  J.append vj (campaign_event ~devices ~seed ~max_rounds);
-  let sup, kinds = build ~devices ~seed ~max_rounds ~journal:(Some vj) () in
-  let base0 = Supervisor.serialize sup in
-  for _ = 1 to rounds_done do
-    Supervisor.round ~jobs ?shards sup
-  done;
-  let report = Supervisor.report sup in
-  J.append vj (campaign_end_event report);
-  let* () = Result.map_error (fun e -> "replay diverged: " ^ e) (J.verified vj) in
-  (* cross-check the snapshot/delta road against the executed state *)
-  let base, after =
-    match r.J.snapshot with
-    | Some (_, covered, state) when covered <= keep -> (state, covered)
-    | _ -> (base0, 0)
+  let* sup, kinds, devices, seed, max_rounds =
+    reexecute ~jobs ~shards ~snapshot:r.J.snapshot ~ended:true r.J.events
   in
-  let* recovered = Supervisor.Recovery.reconstruct ~base ~after events in
-  let* () =
-    if Bytes.equal recovered (Supervisor.serialize sup) then Ok ()
-    else Error "recovered state (snapshot + deltas) does not match the replay"
-  in
-  Ok (finish ~devices ~seed ~jobs ~max_rounds sup kinds report)
+  Ok (finish ~devices ~seed ~jobs ~max_rounds sup kinds (Supervisor.report sup))
 
 let render r =
   let b = Buffer.create 2048 in

@@ -60,10 +60,10 @@ val run :
     each round's parallel execute phase (see
     {!Ra_supervisor.Supervisor.round}); results are identical for any
     value. With [journal], the
-    campaign is recorded: a "campaign" header (the three numbers that
-    rebuild the world deterministically), every supervisor record (see
-    {!Ra_supervisor.Supervisor.create}), and a "campaign-end" carrying
-    the counter digest. *)
+    campaign is recorded in a {!Campaign} frame: a "campaign" header (the
+    three numbers that rebuild the world deterministically), every
+    supervisor record (see {!Ra_supervisor.Supervisor.create}), and a
+    "campaign-end" carrying the counter digest. *)
 
 (** {1 Crash / resume / replay}
 

@@ -3,7 +3,7 @@ open Ra_core
 (* Million-device roll calls as a journaled campaign. The world is
    deterministic in (devices, seed): one shared firmware release, every
    1000th device infected at a schedule-derived block, all of it enrolled
-   virtually — the simulators are materialized inside the roll-call shard
+   virtually — the simulators are materialized inside the roll-call task
    that attests them and dropped after, so fleet size costs roster entries,
    not live device heaps. The campaign journal frames Fleet's own
    "roll-call" record (counters, fleet root, shard roots), which is what
@@ -71,56 +71,35 @@ let expected_tampered devices =
 module J = Ra_journal.Journal
 module Ev = Ra_journal.Event
 
-(* jobs is deliberately absent: the journal byte stream must be identical
-   for any --jobs, and it is — but shards is recorded, because the
-   roll-call record's shard roots depend on it. *)
-let campaign_event ~devices ~seed ~shards =
-  Ev.make "campaign"
-    [
-      ("experiment", Ev.S "fleet-roll");
-      ("devices", Ev.I devices);
-      ("seed", Ev.I seed);
-      ("shards", Ev.I shards);
-    ]
-
-let campaign_end_event roll =
-  Ev.make "campaign-end" [ ("fleet-root", Ev.B roll.Fleet.fleet_root) ]
+let experiment = "fleet-roll"
 
 let parse_campaign events =
-  if Array.length events = 0 then Error "journal is empty"
-  else begin
-    let e = events.(0) in
-    if e.Ev.tag <> "campaign" then
-      Error "journal does not start with a campaign record"
-    else if Ev.find_s e "experiment" <> Some "fleet-roll" then
-      Error "journal records a different experiment"
-    else
-      match
-        (Ev.find_i e "devices", Ev.find_i e "seed", Ev.find_i e "shards")
-      with
-      | Some devices, Some seed, Some shards when devices > 0 && shards > 0 ->
-        Ok (devices, seed, shards)
-      | _ -> Error "malformed campaign record"
-  end
+  match Campaign.params ~experiment ~keys:[ "devices"; "seed"; "shards" ] events with
+  | Error _ as e -> e
+  | Ok [ devices; seed; shards ] when devices > 0 && shards > 0 ->
+    Ok (devices, seed, shards)
+  | Ok _ -> Error "malformed campaign record"
 
-let run ?(devices = 10_000) ?(seed = 7) ?shards ?jobs ?journal () =
+(* [journal] records the campaign or, in verify mode, byte-compares every
+   re-emitted record. jobs is deliberately absent from the header: the
+   journal byte stream must be identical for any --jobs, and it is — but
+   shards is recorded, because the roll-call record's shard roots depend
+   on it. *)
+let run ?(devices = 10_000) ?(seed = 7) ?(shards = 1) ?jobs ?journal () =
   let jobs = Option.value jobs ~default:(Ra_parallel.default_jobs ()) in
-  let shards = Option.value shards ~default:jobs in
-  (match journal with
-  | Some j ->
-    J.append j (campaign_event ~devices ~seed ~shards);
-    J.commit j
-  | None -> ());
+  Option.iter
+    (fun j ->
+      Campaign.start j ~experiment
+        [ ("devices", devices); ("seed", seed); ("shards", shards) ])
+    journal;
   let fleet, provision_s = wall (fun () -> build ~devices ~seed) in
   let roll, roll_s =
     wall (fun () ->
         Fleet.sharded_roll_call fleet ~jobs ~shards ?journal Mp.default_config)
   in
-  (match journal with
-  | Some j ->
-    J.append j (campaign_end_event roll);
-    J.commit j
-  | None -> ());
+  Option.iter
+    (fun j -> Campaign.finish j [ ("fleet-root", Ev.B roll.Fleet.fleet_root) ])
+    journal;
   { devices; seed; shards; jobs; roll; provision_s; roll_s }
 
 let ( let* ) = Result.bind
@@ -133,32 +112,11 @@ let replay ~disk ?jobs () =
   let* r = J.recover disk in
   let events = r.J.events in
   let* devices, seed, shards = parse_campaign events in
-  let* () =
-    if
-      Array.length events > 0
-      && (events.(Array.length events - 1)).Ev.tag = "campaign-end"
-    then Ok ()
-    else Error "journal records an interrupted campaign (no campaign-end)"
-  in
-  let vj = J.verifier events in
-  J.append vj (campaign_event ~devices ~seed ~shards);
-  let fleet, provision_s = wall (fun () -> build ~devices ~seed) in
-  let roll, roll_s =
-    wall (fun () ->
-        Fleet.sharded_roll_call fleet ?jobs ~shards ~journal:vj Mp.default_config)
-  in
-  J.append vj (campaign_end_event roll);
-  let* () = Result.map_error (fun e -> "replay diverged: " ^ e) (J.verified vj) in
-  Ok
-    {
-      devices;
-      seed;
-      shards;
-      jobs = Option.value jobs ~default:(Ra_parallel.default_jobs ());
-      roll;
-      provision_s;
-      roll_s;
-    }
+  let* () = Campaign.ended events in
+  let journal = J.verifier events in
+  let result = run ~devices ~seed ~shards ?jobs ~journal () in
+  let* () = Result.map_error (fun e -> "replay diverged: " ^ e) (J.verified journal) in
+  Ok result
 
 let render r =
   let b = Buffer.create 1024 in

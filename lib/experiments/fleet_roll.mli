@@ -3,11 +3,10 @@
     The world is deterministic in (devices, seed): a shared firmware
     release, every 1000th device infected, all devices enrolled virtually
     so fleet size costs roster entries rather than live simulators. A
-    campaign frames the {!Ra_core.Fleet} "roll-call" record — counters,
-    fleet Merkle root, shard roots — between "campaign"/"campaign-end"
-    records, and {!replay} re-executes the roll call in verify mode so
-    every byte of the hierarchical digest is checked, not just the flat
-    counters. *)
+    {!Campaign} frame wraps the {!Ra_core.Fleet} "roll-call" record —
+    counters, fleet Merkle root, shard roots — and {!replay} re-executes
+    the roll call in verify mode so every byte of the hierarchical digest
+    is checked, not just the flat counters. *)
 
 open Ra_core
 
@@ -40,11 +39,12 @@ val run :
   ?journal:Ra_journal.Journal.t ->
   unit ->
   result
-(** One sharded roll call over a fresh world. [shards] defaults to [jobs],
-    [jobs] to {!Ra_parallel.default_jobs}. With [journal], the campaign
-    frame and the roll-call record (fleet root and shard roots included)
-    are committed; [jobs] is deliberately not recorded — the journal byte
-    stream is identical for any value. *)
+(** One roll call over a fresh world. [jobs] (default
+    {!Ra_parallel.default_jobs}) sets the parallelism; [shards] (default 1)
+    only groups segment roots into shard roots. With [journal], the
+    {!Campaign} frame and the roll-call record (fleet root and shard roots
+    included) are committed; [jobs] is deliberately not recorded — the
+    journal byte stream is identical for any value. *)
 
 val replay :
   disk:Ra_journal.Disk.t -> ?jobs:int -> unit -> (result, string) Result.t
@@ -52,11 +52,6 @@ val replay :
     re-execute the roll call in verify mode: every re-emitted record is
     byte-compared against the recording, so [Ok] proves the counters, the
     fleet root and the per-shard roots all reproduce. *)
-
-val parse_campaign :
-  Ra_journal.Event.t array -> (int * int * int, string) Result.t
-(** [(devices, seed, shards)] from a journal's leading campaign record;
-    [Error] if the journal belongs to a different experiment. *)
 
 val render : result -> string
 (** Human-readable summary (throughput, verdict partition, cache counters,

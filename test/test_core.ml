@@ -1122,7 +1122,7 @@ let test_fleet_attest_all () =
   let bravo = Fleet.device fleet "bravo" in
   let rng = Prng.split (Engine.prng bravo.Device.engine) in
   ignore (Ra_malware.Malware.install bravo ~rng ~block:3 ~priority:8 Ra_malware.Malware.Static);
-  let roll = Fleet.attest_all fleet Mp.default_config in
+  let roll = Fleet.sharded_roll_call fleet ~jobs:1 Mp.default_config in
   check (Alcotest.list Alcotest.string) "clean devices" [ "alpha"; "charlie" ]
     roll.Fleet.clean;
   check (Alcotest.list Alcotest.string) "tampered devices" [ "bravo" ] roll.Fleet.tampered

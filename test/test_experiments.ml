@@ -456,6 +456,53 @@ let json_roundtrip_prop =
        QCheck.Gen.(string_size ~gen:char (int_bound 40)))
     (fun s -> String.equal s (json_string_roundtrip s))
 
+(* --- Benchkit comparison over several file pairs --------------------------- *)
+
+let test_compare_all_reports_every_pair () =
+  let suite name value =
+    {
+      Benchkit.suite = name;
+      metrics =
+        [
+          {
+            Benchkit.name = name ^ "_count";
+            value;
+            unit_ = "count";
+            direction = Benchkit.Higher_is_better;
+            exact = true;
+          };
+        ];
+    }
+  in
+  let report, ok =
+    Benchkit.compare_all ~tolerance:0.2 ~keep:(fun _ -> true)
+      [
+        ("first", fun () -> (suite "crypto" 10., suite "crypto" 9.));
+        ("unreadable", fun () -> raise (Sys_error "no such file"));
+        ("second", fun () -> (suite "sim" 5., suite "sim" 4.));
+        ("clean", fun () -> (suite "ok" 1., suite "ok" 1.));
+      ]
+  in
+  let contains needle =
+    let n = String.length needle and h = String.length report in
+    let rec from i = i + n <= h && (String.sub report i n = needle || from (i + 1)) in
+    from 0
+  in
+  check Alcotest.bool "gate fails" false ok;
+  List.iter
+    (fun line -> check Alcotest.bool line true (contains line))
+    [
+      "== crypto: first";
+      "== unreadable: cannot read: no such file";
+      "== sim: second";
+      "== ok: clean";
+    ];
+  check Alcotest.int "both regressions reported" 2
+    (List.length
+       (List.filter
+          (String.ends_with ~suffix:"REGRESSION")
+          (String.split_on_char '\n' report)))
+
 let () =
   Alcotest.run "ra_experiments"
     [
@@ -517,5 +564,10 @@ let () =
         [
           Alcotest.test_case "string escapes" `Quick test_json_string_escapes;
           QCheck_alcotest.to_alcotest json_roundtrip_prop;
+        ] );
+      ( "benchkit compare",
+        [
+          Alcotest.test_case "every pair reported" `Quick
+            test_compare_all_reports_every_pair;
         ] );
     ]

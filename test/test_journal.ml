@@ -7,6 +7,8 @@ open Ra_journal
 module Prng = Ra_sim.Prng
 module Supervisor = Ra_supervisor.Supervisor
 module Fleet_chaos = Ra_experiments.Fleet_chaos
+module Fleet_roll = Ra_experiments.Fleet_roll
+module Campaign = Ra_experiments.Campaign
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -291,6 +293,56 @@ let prop_corrupt_journal_never_illegal_edge =
            including "every recorded transition is a declared edge" *)
         r.Fleet_chaos.violations = [])
 
+(* --- golden journals ------------------------------------------------------ *)
+
+(* Campaigns recorded once and checked in under test/golden/:
+   `ratool fleet --devices 2048 --shards 3 --journal DIR` and
+   `ratool fleet-chaos --devices 20 --journal DIR`. Replaying them the way
+   `ratool replay` does — dispatch on the campaign header, then re-execute
+   in verify mode — pins the campaign framing bytes and every record the
+   experiments emit. The files are loaded into the in-memory disk so the
+   checked-in copies are never written. *)
+let golden name =
+  let dir = Filename.concat "golden" name in
+  let disk = Disk.Mem.disk (Disk.Mem.create ()) in
+  Array.iter
+    (fun file ->
+      let ic = open_in_bin (Filename.concat dir file) in
+      let contents = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      disk.Disk.write file (Bytes.of_string contents);
+      disk.Disk.sync file)
+    (Sys.readdir dir);
+  disk
+
+let recorded_experiment disk =
+  match Journal.recover disk with
+  | Ok r -> Campaign.experiment r.Journal.events
+  | Error e -> Alcotest.fail e
+
+let test_golden_fleet_roll () =
+  let disk = golden "fleet-roll" in
+  check Alcotest.(option string) "experiment" (Some "fleet-roll")
+    (recorded_experiment disk);
+  match Fleet_roll.replay ~disk ~jobs:2 () with
+  | Error e -> Alcotest.failf "golden fleet-roll journal: %s" e
+  | Ok r ->
+    let roll = r.Fleet_roll.roll in
+    check Alcotest.string "fleet root"
+      "11a8dda47d806db7f488184272ae19f0ae330e89f0a0065340d99996fa1f9095"
+      (Ra_crypto.Bytesutil.to_hex roll.Ra_core.Fleet.fleet_root);
+    check Alcotest.int "3 shards requested, 2 segments" 2 roll.Ra_core.Fleet.shards
+
+let test_golden_fleet_chaos () =
+  let disk = golden "fleet-chaos" in
+  check Alcotest.(option string) "experiment" (Some "fleet-chaos")
+    (recorded_experiment disk);
+  match Fleet_chaos.replay ~disk ~jobs:1 () with
+  | Error e -> Alcotest.failf "golden fleet-chaos journal: %s" e
+  | Ok r ->
+    check Alcotest.(list string) "invariants" [] r.Fleet_chaos.violations;
+    check Alcotest.int "rounds" 15 r.Fleet_chaos.report.Supervisor.rounds
+
 let () =
   Alcotest.run "ra_journal"
     [
@@ -329,5 +381,12 @@ let () =
           Alcotest.test_case "refuses garbage journals" `Quick
             test_resume_refuses_garbage;
           qtest prop_corrupt_journal_never_illegal_edge;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "fleet-roll journal replays" `Slow
+            test_golden_fleet_roll;
+          Alcotest.test_case "fleet-chaos journal replays" `Quick
+            test_golden_fleet_chaos;
         ] );
     ]

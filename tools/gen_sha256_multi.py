@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Emit lib/crypto/sha256_multi.ml: interleaved multi-way SHA-256.
+"""Emit lib/crypto/sha256_multi.ml: interleaved two-way SHA-256.
 
-The compress kernels are straight-line generated code because the whole
+The compress kernel is straight-line generated code because the whole
 point is instruction-level parallelism: independent dependency chains from
-N blocks woven into one instruction stream, no closures or per-round
-control flow for the compiler to spill around.  The winning formulation
+two blocks woven into one instruction stream, no closures or per-round
+control flow for the compiler to spill around.  Two lanes is the measured
+optimum on x86-64: a 4-lane kernel overflows the register file and lost
+to it (EXPERIMENTS.md keeps the lane sweep).  The winning formulation
 (picked empirically against ~20 variants, see DESIGN.md) is:
 
   - rounds grouped 8 at a time inside a tail-recursive loop carrying the
@@ -109,20 +111,19 @@ def gen_compress(lanes):
     return "\n".join(out)
 
 
-HEADER = '''(* Interleaved multi-way SHA-256: the batch counterpart to Sha256.
+HEADER = '''(* Interleaved two-way SHA-256: the batch counterpart to Sha256.
 
    GENERATED FILE -- emitted by tools/gen_sha256_multi.py. Edit the
    generator and re-run it (python3 tools/gen_sha256_multi.py) instead of
-   editing this file by hand; the kernels below are deliberately
-   straight-line so that N independent compress dependency chains are
+   editing this file by hand; the kernel below is deliberately
+   straight-line so that two independent compress dependency chains are
    woven through one instruction stream and hide each other's latency.
    Rationale for the exact formulation lives in the generator's docstring
    and DESIGN.md's performance notes.
 
    cross-check: Ra_crypto.Checked.sha256_many keeps a bounds-checked
-   one-shot reference; test/test_crypto.ml qcheck-diffs every lane
-   configuration of digest_many against it (ragged lengths, odd batches,
-   block-boundary sizes). *)
+   one-shot reference; test/test_crypto.ml qcheck-diffs digest_many
+   against it (ragged lengths, odd batches, block-boundary sizes). *)
 
 let mask = 0xFFFFFFFF
 
@@ -175,56 +176,17 @@ let digest_pair st0 st1 w0 w1 out i m0 m1 =
   out.(i) <- finish_lane st0 w0 m0 (64 * common);
   out.(i + 1) <- finish_lane st1 w1 m1 (64 * common)
 
-let digest_quad st0 st1 st2 st3 w0 w1 w2 w3 out i m0 m1 m2 m3 =
-  Array.blit iv 0 st0 0 8;
-  Array.blit iv 0 st1 0 8;
-  Array.blit iv 0 st2 0 8;
-  Array.blit iv 0 st3 0 8;
-  let common =
-    min
-      (min (Bytes.length m0 / 64) (Bytes.length m1 / 64))
-      (min (Bytes.length m2 / 64) (Bytes.length m3 / 64))
-  in
-  for b = 0 to common - 1 do
-    compress4 st0 st1 st2 st3 w0 w1 w2 w3 m0 (64 * b) m1 (64 * b) m2 (64 * b)
-      m3 (64 * b)
-  done;
-  out.(i) <- finish_lane st0 w0 m0 (64 * common);
-  out.(i + 1) <- finish_lane st1 w1 m1 (64 * common);
-  out.(i + 2) <- finish_lane st2 w2 m2 (64 * common);
-  out.(i + 3) <- finish_lane st3 w3 m3 (64 * common)
-
-let digest_many ?(lanes = 2) msgs =
-  (match lanes with
-  | 1 | 2 | 4 -> ()
-  | _ -> invalid_arg "Sha256_multi.digest_many: lanes must be 1, 2 or 4");
+let digest_many msgs =
   let n = Array.length msgs in
   let out = Array.make n Bytes.empty in
-  if lanes = 1 then
-    for i = 0 to n - 1 do
-      out.(i) <- Sha256.digest msgs.(i)
-    done
-  else begin
-    let st0 = Array.make 8 0 and st1 = Array.make 8 0 in
-    let w0 = Array.make 64 0 and w1 = Array.make 64 0 in
-    let i = ref 0 in
-    if lanes = 4 then begin
-      let st2 = Array.make 8 0 and st3 = Array.make 8 0 in
-      let w2 = Array.make 64 0 and w3 = Array.make 64 0 in
-      while !i + 4 <= n do
-        digest_quad st0 st1 st2 st3 w0 w1 w2 w3 out !i msgs.(!i)
-          msgs.(!i + 1)
-          msgs.(!i + 2)
-          msgs.(!i + 3);
-        i := !i + 4
-      done
-    end;
-    while !i + 2 <= n do
-      digest_pair st0 st1 w0 w1 out !i msgs.(!i) msgs.(!i + 1);
-      i := !i + 2
-    done;
-    if !i < n then out.(!i) <- Sha256.digest msgs.(!i)
-  end;
+  let st0 = Array.make 8 0 and st1 = Array.make 8 0 in
+  let w0 = Array.make 64 0 and w1 = Array.make 64 0 in
+  let i = ref 0 in
+  while !i + 2 <= n do
+    digest_pair st0 st1 w0 w1 out !i msgs.(!i) msgs.(!i + 1);
+    i := !i + 2
+  done;
+  if !i < n then out.(!i) <- Sha256.digest msgs.(!i);
   out
 '''
 
@@ -232,7 +194,7 @@ let digest_many ?(lanes = 2) msgs =
 def main():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.path.join(root, "lib", "crypto", "sha256_multi.ml")
-    parts = [HEADER, gen_compress(2), "", gen_compress(4), TAIL]
+    parts = [HEADER, gen_compress(2), TAIL]
     with open(path, "w") as f:
         f.write("\n".join(parts))
     print(f"wrote {path}")
