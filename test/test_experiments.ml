@@ -565,7 +565,7 @@ let () =
           Alcotest.test_case "string escapes" `Quick test_json_string_escapes;
           QCheck_alcotest.to_alcotest json_roundtrip_prop;
         ] );
-      ( "benchkit compare",
+      ( "bench compare",
         [
           Alcotest.test_case "every pair reported" `Quick
             test_compare_all_reports_every_pair;
