@@ -283,7 +283,10 @@ let reexecute ~jobs ~shards ~snapshot ~ended recorded =
   let* devices, seed, max_rounds = parse_campaign recorded in
   let rounds_done, keep = Supervisor.Recovery.completed_rounds recorded in
   let* () =
-    if rounds_done = 0 then Error "no completed round in the journal"
+    (* a resume needs a round to continue from; an ended campaign may have
+       run none ([--rounds 0]) and still replays *)
+    if rounds_done = 0 && not ended then
+      Error "no completed round in the journal; nothing to resume"
     else Ok ()
   in
   let vj = J.verifier recorded in

@@ -508,6 +508,8 @@ let test_sharded_equals_reference () =
   let reference = reference_roll (build_multi_segment_fleet n) in
   let tampered, _, _ = reference in
   check Alcotest.int "some tampered" (((n - 14) / 97) + 1) (List.length tampered);
+  (* every counter, not just the roots, must not depend on shards or jobs *)
+  let first = ref None in
   List.iter
     (fun (shards, jobs) ->
       let rc =
@@ -517,7 +519,12 @@ let test_sharded_equals_reference () =
       let label = Printf.sprintf "shards=%d jobs=%d" shards jobs in
       (* 3 segments: requested counts clamp to at most 3 *)
       check Alcotest.int (label ^ " clamped") (min shards 3) rc.Fleet.shards;
-      check_against_reference label reference rc)
+      check_against_reference label reference rc;
+      match !first with
+      | None -> first := Some (rc_signature rc)
+      | Some sg ->
+        check Alcotest.bool (label ^ " counters = shards=1 jobs=1") true
+          (rc_signature rc = sg))
     (List.concat_map (fun s -> [ (s, 1); (s, 2) ]) [ 1; 2; 3; 8 ]);
   check_against_reference "materialized jobs=3"
     (reference_roll (build_fleet ()))

@@ -258,6 +258,23 @@ let test_resume_refuses_garbage () =
   check Alcotest.bool "garbage rejected" true
     (Result.is_error (Fleet_chaos.resume ~disk ()))
 
+(* An ended campaign that ran no round ([ratool fleet-chaos --rounds 0])
+   still replays; only a resume needs a completed round to continue from. *)
+let test_zero_round_campaign () =
+  let disk = Disk.Mem.disk (Disk.Mem.create ()) in
+  let recorded =
+    Fleet_chaos.run ~devices ~seed ~jobs:1 ~max_rounds:0
+      ~journal:(Journal.create disk) ()
+  in
+  (match Fleet_chaos.replay ~disk () with
+  | Error e -> Alcotest.failf "replay failed: %s" e
+  | Ok replayed ->
+    check Alcotest.string "replay digest"
+      recorded.Fleet_chaos.report.Supervisor.counter_digest
+      replayed.Fleet_chaos.report.Supervisor.counter_digest);
+  check Alcotest.bool "nothing to resume" true
+    (Result.is_error (Fleet_chaos.resume ~disk ()))
+
 (* Recovery of a corrupted journal must never materialize an illegal
    health edge: flip payload bytes at random and require that recovery
    plus state reconstruction either fails cleanly or yields a state whose
@@ -380,6 +397,8 @@ let () =
             test_kill_resume_jobs_mixed;
           Alcotest.test_case "refuses garbage journals" `Quick
             test_resume_refuses_garbage;
+          Alcotest.test_case "zero-round campaign replays" `Quick
+            test_zero_round_campaign;
           qtest prop_corrupt_journal_never_illegal_edge;
         ] );
       ( "golden",
