@@ -18,7 +18,7 @@ type t = {
   config : config;
   world : World.t;
   journal : J.t;
-  queue : (string * int * Bytes.t) Queue.t;
+  queue : (string * int * Ra_core.Report.t) Queue.t;
   seen : (string * int, unit) Hashtbl.t;
   mutable accepted : int;
   mutable shed : int;
@@ -81,17 +81,20 @@ let replay_event t ev =
   if ev.Ev.tag = report_tag then begin
     match (Ev.find_s ev "device", Ev.find_i ev "seq") with
     | Some device, Some seq -> (
-        let report = Ev.getb ev "report" in
-        match World.verify t.world ~device report with
-        | Ok (verdict, mac) ->
+        let fail why =
+          Error (Printf.sprintf "journaled report %s#%d fails verification replay: %s"
+                   device seq why)
+        in
+        match Ra_core.Report.decode (Ev.getb ev "report") with
+        | _ when not (World.known t.world device) -> fail "unknown device"
+        | Error e -> fail ("undecodable report: " ^ e)
+        | Ok report ->
+            let verdict, mac = World.verify t.world ~device report in
             World.record t.world ~device ~seq verdict mac;
             Hashtbl.replace t.seen (device, seq) ();
             t.accepted <- t.accepted + 1;
             t.recovered <- t.recovered + 1;
-            Ok ()
-        | Error e ->
-            Error (Printf.sprintf "journaled report %s#%d fails verification replay: %s"
-                     device seq e))
+            Ok ())
     | _ -> Error "malformed report record"
   end
   else if ev.Ev.tag = quarantine_tag then begin
@@ -168,19 +171,25 @@ let submit t ~device ~seq report =
     t.shed <- t.shed + 1;
     Wire.Busy { queued = Queue.length t.queue; capacity = t.config.capacity }
   end
-  else begin
-    (* Durable before acknowledged: the journal record and its commit
-       precede the Ack, so an Ack the client acted on is never lost to a
-       kill -9. *)
-    J.append t.journal
-      (Ev.make report_tag
-         [ ("device", Ev.S device); ("seq", Ev.I seq); ("report", Ev.B report) ]);
-    J.commit t.journal;
-    Hashtbl.replace t.seen (device, seq) ();
-    Queue.add (device, seq, report) t.queue;
-    t.accepted <- t.accepted + 1;
-    Wire.Ack { device; seq }
-  end
+  else
+    (* Decoded once, here: bytes that do not decode are never journaled,
+       so neither drain nor a restart can meet them. *)
+    match Ra_core.Report.decode report with
+    | Error e ->
+        t.rejected <- t.rejected + 1;
+        Wire.Rejected ("undecodable report: " ^ e)
+    | Ok decoded ->
+        (* Durable before acknowledged: the journal record and its commit
+           precede the Ack, so an Ack the client acted on is never lost to
+           a kill -9. *)
+        J.append t.journal
+          (Ev.make report_tag
+             [ ("device", Ev.S device); ("seq", Ev.I seq); ("report", Ev.B report) ]);
+        J.commit t.journal;
+        Hashtbl.replace t.seen (device, seq) ();
+        Queue.add (device, seq, decoded) t.queue;
+        t.accepted <- t.accepted + 1;
+        Wire.Ack { device; seq }
 
 (* Drain the accepted queue through verification. Batch items are grouped
    by device (one verifier view per group) and the groups verified on the
@@ -215,13 +224,7 @@ let drain ?jobs t =
     Array.iteri
       (fun gi device ->
         List.iter
-          (fun (seq, result) ->
-            match result with
-            | Ok (verdict, mac) -> World.record t.world ~device ~seq verdict mac
-            | Error _ ->
-                (* journaled bytes that fail to decode can only mean the
-                   journal itself lied; submit already validated them *)
-                assert false)
+          (fun (seq, (verdict, mac)) -> World.record t.world ~device ~seq verdict mac)
           verified.(gi))
       order;
     n

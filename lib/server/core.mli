@@ -40,7 +40,9 @@ val recover : Ra_journal.Disk.t -> (t, string) result
 
 val handle : ?jobs:int -> t -> Wire.request -> Wire.response
 (** Serve one request. [Submit] journals-then-acks, re-acks duplicates,
-    or sheds with [Busy] when the queue is full. [Fleet_health] and
+    or sheds with [Busy] when the queue is full; a report that does not
+    decode is [Rejected] (counted in [rejected]) before anything is
+    journaled, and an accepted one is queued decoded. [Fleet_health] and
     [Fleet_root] drain the queue first, so their answers reflect every
     acknowledged report. *)
 

@@ -31,32 +31,33 @@ let nonce ~seed ~device ~seq =
        (Bytes.of_string (Printf.sprintf "loadgen nonce %d %s %d" seed device seq)))
     0 16
 
-let plan ~devices ~seed ~reports_per_device =
+let by_device ~devices ~seed ~reports_per_device =
   if devices < 1 || reports_per_device < 1 then
     invalid_arg "Loadgen.plan: empty campaign";
   let fleet = Fleet.create ~master_secret:(World.master_secret ~seed) () in
-  let by_device =
-    Array.init devices (fun i ->
-        let id = World.device_id i in
-        let dev = Fleet.provision fleet id ~config:World.device_config () in
-        if is_tampered i then
-          ignore
-            (Ra_malware.Malware.install dev
-               ~rng:(Prng.create ~seed:(seed lxor (0x5eed + i)))
-               ~block:(3 + (i mod 5))
-               ~priority:8 Ra_malware.Malware.Static);
-        Array.init reports_per_device (fun s ->
-            let seq = s + 1 in
-            let out = ref None in
-            Mp.run dev Mp.default_config
-              ~nonce:(nonce ~seed ~device:id ~seq)
-              ~on_complete:(fun r -> out := Some r)
-              ();
-            Ra_device.Device.run dev;
-            match !out with
-            | Some r -> { device = id; seq; report = Report.encode r }
-            | None -> failwith "loadgen: measurement never completed"))
-  in
+  Array.init devices (fun i ->
+      let id = World.device_id i in
+      let dev = Fleet.provision fleet id ~config:World.device_config () in
+      if is_tampered i then
+        ignore
+          (Ra_malware.Malware.install dev
+             ~rng:(Prng.create ~seed:(seed lxor (0x5eed + i)))
+             ~block:(3 + (i mod 5))
+             ~priority:8 Ra_malware.Malware.Static);
+      Array.init reports_per_device (fun s ->
+          let seq = s + 1 in
+          let out = ref None in
+          Mp.run dev Mp.default_config
+            ~nonce:(nonce ~seed ~device:id ~seq)
+            ~on_complete:(fun r -> out := Some r)
+            ();
+          Ra_device.Device.run dev;
+          match !out with
+          | Some r -> { device = id; seq; report = Report.encode r }
+          | None -> failwith "loadgen: measurement never completed"))
+
+let plan ~devices ~seed ~reports_per_device =
+  let by_device = by_device ~devices ~seed ~reports_per_device in
   (* Round-major order: every device's report 1, then every report 2 …
      one round is a synchronized burst of [devices] submissions, which is
      exactly the arrival pattern that overruns a bounded queue and forces

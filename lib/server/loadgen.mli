@@ -19,6 +19,11 @@ type item = { device : string; seq : int; report : Bytes.t }
 val plan : devices:int -> seed:int -> reports_per_device:int -> item array
 (** Raises [Invalid_argument] on an empty campaign. *)
 
+val by_device :
+  devices:int -> seed:int -> reports_per_device:int -> item array array
+(** The same items per device, in roster order, each device's in
+    sequence order: what one client session submits. *)
+
 val is_tampered : int -> bool
 (** Whether roster index [i] is infected in every plan. *)
 

@@ -2,12 +2,12 @@ open Ra_sim
 open Ra_core
 open Ra_faults
 
-(* The simulated network: loadgen clients driving a Core over virtual
+(* The simulated network: Session clients driving a Core over virtual
    byte streams with Stream_faults damage, in discrete steps. No socket,
    no clock, no thread — the whole campaign (every tear, stall, reset,
    shed Busy, retry and crash) is a pure function of the config, which is
    what lets server-chaos assert determinism per seed and invariance
-   across --jobs, properties the real-TCP path can only approximate. *)
+   across --jobs over the session code Tcp runs too. *)
 
 type config = {
   devices : int;
@@ -48,14 +48,11 @@ type outcome = {
 (* One step of virtual time ~ 10 ms for the RTO arithmetic. *)
 let step_ns = 10_000_000
 
-let steps_of_rto rto = max 1 (rto / step_ns)
-
 (* --- connections --------------------------------------------------------- *)
 
 type chunk = { due : int; data : Bytes.t; kills : bool }
 
 type conn = {
-  cid : int;
   frng : Prng.t;  (* fault draws, both directions *)
   mutable alive : bool;
   server_reader : Frame.Reader.t;
@@ -64,19 +61,7 @@ type conn = {
   mutable to_client : chunk list;
 }
 
-type client = {
-  idx : int;
-  mutable todo : Loadgen.item list;
-  rtt : Rtt.t;
-  mutable conn : conn option;
-  mutable inflight : (int * int * bool) option;  (* seq, sent at, retransmitted *)
-  mutable head_attempts : int;  (* transmissions of the current head item *)
-  mutable deadline : int;
-  mutable wait_until : int;
-  mutable retries : int;
-  mutable busy : int;
-  mutable acked : int;
-}
+type client = { session : Session.client; mutable conn : conn option }
 
 type sim = {
   config : config;
@@ -87,7 +72,6 @@ type sim = {
   crash_rng : Prng.t;
   clients : client array;
   mutable conns : conn list;  (* live first-class handles, newest first *)
-  mutable next_cid : int;
   mutable now : int;
   mutable dead_conns : int;
   mutable restarts : int;
@@ -96,7 +80,6 @@ type sim = {
 let new_conn t =
   let c =
     {
-      cid = t.next_cid;
       frng = Prng.split t.conn_rng;
       alive = true;
       server_reader = Frame.Reader.create ();
@@ -105,7 +88,6 @@ let new_conn t =
       to_client = [];
     }
   in
-  t.next_cid <- t.next_cid + 1;
   t.conns <- c :: t.conns;
   c
 
@@ -117,10 +99,9 @@ let kill_conn t c =
     t.dead_conns <- t.dead_conns + 1
   end
 
-(* Queue one framed write onto a direction, through the fault model. *)
-let send t c ~to_server payload =
+(* Queue one sealed frame onto a direction, through the fault model. *)
+let send t c ~to_server frame =
   if c.alive then begin
-    let frame = Frame.seal_stream payload in
     let n = Bytes.length frame in
     let push chunk =
       if to_server then c.to_server <- chunk :: c.to_server
@@ -156,27 +137,17 @@ let deliver_due t c ~to_server =
       kills || ch.kills)
     false due
 
-(* --- server side --------------------------------------------------------- *)
-
 let server_step t =
   List.iter
     (fun c ->
       if c.alive then begin
         let reset = deliver_due t c ~to_server:true in
-        let rec pump () =
-          match Frame.Reader.next c.server_reader with
-          | Frame.Reader.Await -> ()
-          | Frame.Reader.Corrupt _ -> kill_conn t c
-          | Frame.Reader.Frame payload ->
-              (match Wire.decode_request payload with
-              | Error msg -> send t c ~to_server:false (Wire.encode_response (Wire.Rejected msg))
-              | Ok req ->
-                  let resp = Core.handle t.core req in
-                  send t c ~to_server:false (Wire.encode_response resp));
-              if c.alive then pump ()
+        let reply frame =
+          send t c ~to_server:false frame;
+          true
         in
-        pump ();
-        if reset then kill_conn t c
+        if (not (Session.serve t.core c.server_reader ~reply)) || reset then
+          kill_conn t c
       end)
     (List.rev t.conns)
 
@@ -191,97 +162,30 @@ let crash t =
       Ok ()
   | Error e -> Error ("restart after crash failed: " ^ e)
 
-(* --- client side --------------------------------------------------------- *)
-
-let client_conn t cl =
-  match cl.conn with
-  | Some c when c.alive -> c
-  | _ ->
-      let c = new_conn t in
-      cl.conn <- Some c;
-      c
-
-let send_head t cl =
-  match cl.todo with
-  | [] -> ()
-  | item :: _ ->
-      (* anything beyond the first transmission of this item is a
-         retransmission: Karn's rule bars its Ack from feeding an RTT
-         sample, and the campaign counts it *)
-      let re = cl.head_attempts > 0 in
-      let c = client_conn t cl in
-      send t c ~to_server:true (Loadgen.submit_payload item);
-      cl.head_attempts <- cl.head_attempts + 1;
-      cl.inflight <- Some (item.Loadgen.seq, t.now, re);
-      cl.deadline <- t.now + steps_of_rto (Rtt.rto cl.rtt);
-      if re then cl.retries <- cl.retries + 1
-
-let client_absorb t cl =
-  match cl.conn with
-  | None -> ()
-  | Some c ->
-      if c.alive then begin
-        let reset = deliver_due t c ~to_server:false in
-        let rec pump () =
-          match Frame.Reader.next c.client_reader with
-          | Frame.Reader.Await -> ()
-          | Frame.Reader.Corrupt _ -> kill_conn t c
-          | Frame.Reader.Frame payload ->
-              (match (Wire.decode_response payload, cl.inflight, cl.todo) with
-              | Ok (Wire.Ack { seq; _ }), Some (fseq, sent, re), item :: rest
-                when seq = fseq && seq = item.Loadgen.seq ->
-                  if not re then Rtt.observe cl.rtt ((t.now - sent) * step_ns);
-                  Rtt.note_success cl.rtt;
-                  cl.todo <- rest;
-                  cl.inflight <- None;
-                  cl.head_attempts <- 0;
-                  cl.acked <- cl.acked + 1;
-                  cl.wait_until <- t.now
-              | Ok (Wire.Busy _), Some _, _ ->
-                  cl.busy <- cl.busy + 1;
-                  Rtt.backoff cl.rtt;
-                  cl.inflight <- None;
-                  cl.wait_until <- t.now + steps_of_rto (Rtt.rto cl.rtt)
-              | Ok (Wire.Rejected _), Some _, _ ->
-                  (* permanent; drop the item rather than loop forever
-                     (never hit by a well-formed campaign) *)
-                  cl.todo <- (match cl.todo with [] -> [] | _ :: r -> r);
-                  cl.inflight <- None;
-                  cl.head_attempts <- 0
-              | _ -> () (* stale ack for a retired item, or unsolicited *));
-              if c.alive then pump ()
-        in
-        pump ();
-        if reset then kill_conn t c
-      end
-
 let client_step t cl =
-  client_absorb t cl;
-  let conn_dead = match cl.conn with Some c -> not c.alive | None -> false in
-  if conn_dead && cl.inflight <> None then begin
-    (* the connection died under our request: back off, reconnect,
-       retransmit — the Ack may or may not have been journaled, dedup
-       on the server sorts it out *)
-    Rtt.backoff cl.rtt;
-    cl.inflight <- None;
-    cl.wait_until <- t.now + steps_of_rto (Rtt.rto cl.rtt)
-  end;
-  match cl.inflight with
-  | Some _ when t.now >= cl.deadline ->
-      Rtt.backoff cl.rtt;
-      send_head t cl
-  | Some _ -> ()
-  | None -> if cl.todo <> [] && t.now >= cl.wait_until then send_head t cl
+  (match cl.conn with
+  | Some c when c.alive ->
+      let reset = deliver_due t c ~to_server:false in
+      if (not (Session.absorb cl.session ~now:t.now c.client_reader)) || reset
+      then kill_conn t c
+  | _ -> ());
+  (match cl.conn with
+  | Some c when not c.alive ->
+      cl.conn <- None;
+      Session.lost cl.session ~now:t.now
+  | _ -> ());
+  match Session.poll cl.session ~now:t.now with
+  | None -> ()
+  | Some frame ->
+      let c = match cl.conn with Some c -> c | None -> new_conn t in
+      cl.conn <- Some c;
+      send t c ~to_server:true frame
 
 (* --- campaign ------------------------------------------------------------ *)
 
 let run ?jobs config =
   if config.devices < 1 || config.capacity < 1 || config.drain_every < 1 then
     invalid_arg "Netsim.run: bad config";
-  let plan =
-    Loadgen.plan ~devices:config.devices ~seed:config.seed
-      ~reports_per_device:config.reports_per_device
-  in
   let store = Ra_journal.Disk.Mem.create () in
   let disk = Ra_journal.Disk.Mem.disk store in
   let core =
@@ -290,16 +194,13 @@ let run ?jobs config =
         { Core.devices = config.devices; seed = config.seed; capacity = config.capacity }
       disk
   in
-  let per_client = Array.make config.devices [] in
-  Array.iter
-    (fun (item : Loadgen.item) ->
-      (* recover the roster index from the id position in the plan *)
-      let idx =
-        int_of_string (String.sub item.Loadgen.device 5
-                         (String.length item.Loadgen.device - 5))
-      in
-      per_client.(idx) <- item :: per_client.(idx))
-    plan;
+  let client items =
+    let rtt =
+      Rtt.create ~initial_rto:(Timebase.ms 120) ~min_rto:(Timebase.ms 40)
+        ~max_rto:(Timebase.s 5) ()
+    in
+    { session = Session.client ~tick_ns:step_ns rtt items; conn = None }
+  in
   let t =
     {
       config;
@@ -309,30 +210,16 @@ let run ?jobs config =
       conn_rng = Prng.create ~seed:(config.seed lxor 0x7e57);
       crash_rng = Prng.create ~seed:(config.seed lxor 0xdead);
       clients =
-        Array.init config.devices (fun idx ->
-            {
-              idx;
-              todo = List.rev per_client.(idx);
-              rtt =
-                Rtt.create ~initial_rto:(Timebase.ms 120) ~min_rto:(Timebase.ms 40)
-                  ~max_rto:(Timebase.s 5) ();
-              conn = None;
-              inflight = None;
-              head_attempts = 0;
-              deadline = 0;
-              wait_until = 0;
-              retries = 0;
-              busy = 0;
-              acked = 0;
-            });
+        Array.map client
+          (Loadgen.by_device ~devices:config.devices ~seed:config.seed
+             ~reports_per_device:config.reports_per_device);
       conns = [];
-      next_cid = 0;
       now = 0;
       dead_conns = 0;
       restarts = 0;
     }
   in
-  let all_done () = Array.for_all (fun cl -> cl.todo = []) t.clients in
+  let all_done () = Array.for_all (fun cl -> Session.finished cl.session) t.clients in
   let rec loop () =
     if all_done () then Ok ()
     else if t.now >= config.max_steps then
@@ -351,15 +238,7 @@ let run ?jobs config =
           server_step t;
           Array.iter (fun cl -> client_step t cl) t.clients;
           if t.now mod config.drain_every = 0 then ignore (Core.drain ?jobs t.core);
-          (* drop dead connections the clients have abandoned *)
-          t.conns <-
-            List.filter
-              (fun c ->
-                c.alive
-                || Array.exists
-                     (fun cl -> match cl.conn with Some c' -> c' == c | None -> false)
-                     t.clients)
-              t.conns;
+          t.conns <- List.filter (fun c -> c.alive) t.conns;
           loop ()
     end
   in
@@ -368,15 +247,16 @@ let run ?jobs config =
   | Ok () ->
       ignore (Core.drain ?jobs t.core);
       let clean, tampered, _ = World.verdict_counts (Core.world t.core) in
+      let sum f = Array.fold_left (fun a cl -> a + f cl.session) 0 t.clients in
       Ok
         {
           counters = Core.counters t.core;
           root = Core.root t.core;
           tampered;
           clean;
-          acked = Array.fold_left (fun a cl -> a + cl.acked) 0 t.clients;
-          retries = Array.fold_left (fun a cl -> a + cl.retries) 0 t.clients;
-          busy = Array.fold_left (fun a cl -> a + cl.busy) 0 t.clients;
+          acked = sum Session.acked;
+          retries = sum Session.retries;
+          busy = sum Session.busy;
           dead_conns = t.dead_conns;
           restarts = t.restarts;
           steps = t.now;

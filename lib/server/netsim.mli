@@ -8,9 +8,9 @@
     of the config. That purity is what server-chaos gates on: counters
     deterministic per seed, invariant across [--jobs], and the
     post-restart fleet root bit-identical to an unkilled run's. The
-    real-TCP path ({!Tcp}) reuses the same client logic shape but can
-    only approximate these guarantees, which is why the gates live
-    here. *)
+    server step and the client retry machine are {!Session}'s, the same
+    code {!Tcp} runs over real sockets; this driver owns only the
+    virtual byte streams, their faults, the step clock and the crash. *)
 
 type config = {
   devices : int;

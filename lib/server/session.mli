@@ -1,0 +1,63 @@
+(** The session layer both transports share: the server's per-connection
+    step and the load generator's per-device retry machine.
+
+    Sans-IO: no socket, no clock. A driver ({!Netsim} in simulation,
+    {!Tcp} on real sockets) feeds received bytes into a
+    {!Ra_core.Frame.Reader}, passes it here, writes out the sealed
+    frames it is handed, opens and closes connections, and reports time
+    as an [int] in ticks of its own length. So the deterministic
+    server-chaos gate runs the same code as [ratool serve] and
+    [ratool loadgen]. *)
+
+val serve :
+  Core.t -> Ra_core.Frame.Reader.t -> reply:(Bytes.t -> bool) -> bool
+(** Answer every complete request frame buffered in the reader, in
+    order: decode it, {!Core.handle} it, and pass the sealed response
+    frame to [reply], which returns whether the connection is still open
+    (a [false] stops the step). An undecodable payload is answered with
+    [Rejected] and the next frame is still served. Returns [false] when
+    the connection must close: the stream is corrupt or [reply] said
+    so. *)
+
+(** {2 Client} *)
+
+type client
+(** One device's campaign: its items in sequence order, one in flight at
+    a time, under RFC 6298 retransmission ({!Ra_core.Rtt}). *)
+
+val client : tick_ns:int -> Ra_core.Rtt.t -> Loadgen.item array -> client
+(** A session over one device's items ({!Loadgen.by_device}). [tick_ns]
+    is the length of one driver tick in nanoseconds. *)
+
+val poll : client -> now:int -> Bytes.t option
+(** The sealed request frame to transmit at tick [now], if one is due:
+    the head item's first send, its resend after [Busy] or a lost
+    connection once the wait has passed, or an RTO retransmission (which
+    backs the RTO off first). The send is recorded as made; a driver
+    that cannot deliver it reports {!lost}. *)
+
+val absorb : client -> now:int -> Ra_core.Frame.Reader.t -> bool
+(** Apply every complete response frame buffered in the reader. An [Ack]
+    for the request in flight retires the head item and, unless the
+    request was retransmitted (Karn's rule), feeds one RTT sample. [Busy]
+    backs off and holds the next send for one RTO. [Rejected] retires
+    the head item. Anything else, such as a stale [Ack], is ignored.
+    Returns [false] when the stream is corrupt: the driver closes the
+    connection and reports {!lost}. *)
+
+val lost : client -> now:int -> unit
+(** The connection is gone: refused, reset, closed or corrupt. A request
+    in flight backs off and is resent one RTO later, on a new
+    connection. *)
+
+val finished : client -> bool
+(** Every item was retired. *)
+
+val acked : client -> int
+(** Items retired by an [Ack]. *)
+
+val retries : client -> int
+(** Transmissions after an item's first. *)
+
+val busy : client -> int
+(** [Busy] responses absorbed. *)

@@ -2,9 +2,9 @@ open Ra_core
 
 (* The only file in the tree that touches sockets and the wall clock (the
    ralint Unix-confinement rule pins it here). Deliberately thin: every
-   decision — shed or accept, dedup, journal, verdict — lives in Core;
-   this file only moves bytes through select(2) and keeps one slow client
-   from stalling the rest:
+   decision — shed or accept, dedup, journal, verdict — lives in Core, and
+   both session machines live in Session; this file only moves bytes
+   through select(2) and keeps one slow client from stalling the rest:
 
    - all accepted fds are non-blocking; reads happen only on
      select-readable fds, so a connection that stops mid-frame just
@@ -17,6 +17,11 @@ open Ra_core
 let chunk_size = 8192
 let out_cap = 4 * 1024 * 1024
 
+(* Unix.select fails with EINVAL on any fd at or above FD_SETSIZE (1024),
+   so each loop holds at most this many connections; the rest of the
+   descriptor table is stdio, the listener and the journal. *)
+let max_conns = 1000
+
 type tconn = {
   fd : Unix.file_descr;
   reader : Frame.Reader.t;
@@ -24,10 +29,12 @@ type tconn = {
   mutable alive : bool;
 }
 
+let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
 let close_conn c =
   if c.alive then begin
     c.alive <- false;
-    try Unix.close c.fd with Unix.Unix_error _ -> ()
+    close_fd c.fd
   end
 
 let flush_conn c =
@@ -38,12 +45,13 @@ let flush_conn c =
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error _ -> close_conn c
 
-let queue_response c payload =
-  c.out <- Bytes.cat c.out (Frame.seal_stream payload);
-  if Bytes.length c.out > out_cap then close_conn c else flush_conn c
+let queue_response c frame =
+  c.out <- Bytes.cat c.out frame;
+  if Bytes.length c.out > out_cap then close_conn c else flush_conn c;
+  c.alive
 
-let serve ?(host = "127.0.0.1") ?jobs ?(config = Core.default_config)
-    ?(fresh = false) ~port ~dir () =
+let serve ?(host = "127.0.0.1") ?(config = Core.default_config) ?(fresh = false)
+    ~port ~dir () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let disk = Ra_journal.Disk.file ~dir in
   let has_journal = disk.Ra_journal.Disk.read Ra_journal.Journal.wal_file <> None in
@@ -61,6 +69,7 @@ let serve ?(host = "127.0.0.1") ?jobs ?(config = Core.default_config)
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
   Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
   Unix.listen listen_fd 64;
+  Unix.set_nonblock listen_fd;
   let c0 = Core.counters core in
   Printf.printf
     "ra-server: listening on %s:%d (devices=%d seed=%d capacity=%d recovered=%d)\n%!"
@@ -72,23 +81,12 @@ let serve ?(host = "127.0.0.1") ?jobs ?(config = Core.default_config)
     | 0 -> close_conn c
     | n ->
         Frame.Reader.feed c.reader ~len:n buf;
-        let rec pump () =
-          match Frame.Reader.next c.reader with
-          | Frame.Reader.Await -> ()
-          | Frame.Reader.Corrupt _ -> close_conn c
-          | Frame.Reader.Frame payload ->
-              (match Wire.decode_request payload with
-              | Error msg -> queue_response c (Wire.encode_response (Wire.Rejected msg))
-              | Ok req ->
-                  queue_response c (Wire.encode_response (Core.handle ?jobs core req)));
-              if c.alive then pump ()
-        in
-        pump ()
+        if not (Session.serve core c.reader ~reply:(queue_response c)) then
+          close_conn c
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error _ -> close_conn c
   in
   let rec loop () =
-    conns := List.filter (fun c -> c.alive) !conns;
     let rds = listen_fd :: List.map (fun c -> c.fd) !conns in
     let wrs =
       List.filter_map
@@ -100,22 +98,28 @@ let serve ?(host = "127.0.0.1") ?jobs ?(config = Core.default_config)
       | r -> r
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
-    if List.mem listen_fd readable then begin
-      match Unix.accept listen_fd with
-      | fd, _ ->
-          Unix.set_nonblock fd;
-          conns :=
-            { fd; reader = Frame.Reader.create (); out = Bytes.empty; alive = true }
-            :: !conns
-      | exception Unix.Unix_error _ -> ()
-    end;
     List.iter
       (fun c -> if c.alive && List.mem c.fd readable then handle_readable c)
       !conns;
     List.iter
       (fun c -> if c.alive && List.mem c.fd writable then flush_conn c)
       !conns;
-    if Core.pending core > 0 then ignore (Core.drain ?jobs core);
+    (* free the slots of closed connections, then empty the backlog: a
+       full one drops SYNs, and the peer waits a second to retry *)
+    conns := List.filter (fun c -> c.alive) !conns;
+    let rec accept () =
+      match Unix.accept listen_fd with
+      | fd, _ when List.length !conns >= max_conns -> close_fd fd; accept ()
+      | fd, _ ->
+          Unix.set_nonblock fd;
+          conns :=
+            { fd; reader = Frame.Reader.create (); out = Bytes.empty; alive = true }
+            :: !conns;
+          accept ()
+      | exception Unix.Unix_error _ -> ()
+    in
+    if List.mem listen_fd readable then accept ();
+    if Core.pending core > 0 then ignore (Core.drain core);
     loop ()
   in
   loop ()
@@ -129,11 +133,10 @@ let connect ~host ~port =
   with
   | () -> Ok fd
   | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
+      close_fd fd;
       Error (Unix.error_message e)
 
-let send_frame fd payload =
-  let frame = Frame.seal_stream payload in
+let send_frame fd frame =
   let n = Bytes.length frame in
   let rec go off =
     if off >= n then Ok ()
@@ -174,18 +177,17 @@ let request ?(host = "127.0.0.1") ?(timeout_s = 5.) ~port req =
   match connect ~host ~port with
   | Error e -> Error ("connect: " ^ e)
   | Ok fd ->
-      let finish r =
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        r
-      in
       let deadline = Unix.gettimeofday () +. timeout_s in
-      finish
-        (match send_frame fd (Wire.encode_request req) with
+      let result =
+        match send_frame fd (Frame.seal_stream (Wire.encode_request req)) with
         | Error e -> Error ("send: " ^ e)
         | Ok () -> (
             match read_frame fd (Frame.Reader.create ()) ~deadline with
             | Error e -> Error e
-            | Ok payload -> Wire.decode_response payload))
+            | Ok payload -> Wire.decode_response payload)
+      in
+      close_fd fd;
+      result
 
 (* --- the load-generator campaign over real sockets ----------------------- *)
 
@@ -203,190 +205,103 @@ type campaign = {
 }
 
 type lclient = {
-  id : int;
-  mutable todo : Loadgen.item list;
-  rtt : Rtt.t;
-  mutable fd : Unix.file_descr option;
-  mutable reader : Frame.Reader.t;
-  mutable inflight : (int * float * bool) option;  (* seq, sent at, retrans *)
-  mutable attempts : int;
-  mutable deadline : float;
-  mutable wait_until : float;
-  mutable retries : int;
-  mutable busy : int;
-  mutable acked : int;
-  mutable reconnects : int;
+  session : Session.client;
+  mutable conn : (Unix.file_descr * Frame.Reader.t) option;
 }
-
-let rto_s rtt = float_of_int (Rtt.rto rtt) /. 1e9
-
-let drop_conn cl =
-  (match cl.fd with
-  | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
-  cl.fd <- None;
-  cl.reader <- Frame.Reader.create ()
 
 let run_campaign ?(host = "127.0.0.1") ?(give_up_after_s = 180.) ~port ~devices
     ~seed ~reports_per_device () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let plan = Loadgen.plan ~devices ~seed ~reports_per_device in
   let started = Unix.gettimeofday () in
-  let give_up = started +. give_up_after_s in
-  let per = Array.make devices [] in
-  Array.iter
-    (fun (item : Loadgen.item) ->
-      let idx = int_of_string (String.sub item.Loadgen.device 5 5) in
-      per.(idx) <- item :: per.(idx))
-    plan;
+  (* session ticks are microseconds since the start *)
+  let now () = int_of_float ((Unix.gettimeofday () -. started) *. 1e6) in
+  let client items =
+    let rtt =
+      Rtt.create
+        ~initial_rto:(Ra_sim.Timebase.ms 250)
+        ~min_rto:(Ra_sim.Timebase.ms 50)
+        ~max_rto:(Ra_sim.Timebase.s 3) ()
+    in
+    { session = Session.client ~tick_ns:1000 rtt items; conn = None }
+  in
   let clients =
-    Array.init devices (fun id ->
-        {
-          id;
-          todo = List.rev per.(id);
-          rtt =
-            Rtt.create
-              ~initial_rto:(Ra_sim.Timebase.ms 250)
-              ~min_rto:(Ra_sim.Timebase.ms 50)
-              ~max_rto:(Ra_sim.Timebase.s 3) ();
-          fd = None;
-          reader = Frame.Reader.create ();
-          inflight = None;
-          attempts = 0;
-          deadline = 0.;
-          wait_until = 0.;
-          retries = 0;
-          busy = 0;
-          acked = 0;
-          reconnects = 0;
-        })
+    Array.map client (Loadgen.by_device ~devices ~seed ~reports_per_device)
+  in
+  let opened = ref 0 and reconnects = ref 0 in
+  let close cl =
+    Option.iter
+      (fun (fd, _) ->
+        close_fd fd;
+        cl.conn <- None;
+        decr opened)
+      cl.conn
+  in
+  (* a refused connect, a failed write, a closed or corrupt stream: the
+     session resends after one RTO on a new connection *)
+  let lose now cl =
+    close cl;
+    incr reconnects;
+    Session.lost cl.session ~now
+  in
+  let transmit now cl frame =
+    let conn =
+      match cl.conn with
+      | Some (fd, _) -> Ok fd
+      | None ->
+          Result.map
+            (fun fd ->
+              cl.conn <- Some (fd, Frame.Reader.create ());
+              incr opened;
+              fd)
+            (connect ~host ~port)
+    in
+    match Result.bind conn (fun fd -> send_frame fd frame) with
+    | Ok () -> ()
+    | Error _ -> lose now cl
   in
   let buf = Bytes.create chunk_size in
-  let send_head now cl =
-    match cl.todo with
-    | [] -> ()
-    | item :: _ -> (
-        let conn =
-          match cl.fd with
-          | Some fd -> Ok fd
-          | None -> (
-              match connect ~host ~port with
-              | Ok fd ->
-                  cl.fd <- Some fd;
-                  cl.reader <- Frame.Reader.create ();
-                  Ok fd
-              | Error _ as e ->
-                  (* server down (e.g. mid kill-gate): back off and keep
-                     trying — outliving the restart is the whole point *)
-                  cl.reconnects <- cl.reconnects + 1;
-                  cl.wait_until <- now +. 0.25;
-                  e)
-        in
-        match conn with
-        | Error _ -> ()
-        | Ok fd -> (
-            let re = cl.attempts > 0 in
-            match send_frame fd (Loadgen.submit_payload item) with
-            | Ok () ->
-                cl.attempts <- cl.attempts + 1;
-                cl.inflight <- Some (item.Loadgen.seq, now, re);
-                cl.deadline <- now +. rto_s cl.rtt;
-                if re then cl.retries <- cl.retries + 1
-            | Error _ ->
-                drop_conn cl;
-                Rtt.backoff cl.rtt;
-                cl.wait_until <- now +. rto_s cl.rtt))
+  let absorb now cl (fd, reader) =
+    match Unix.read fd buf 0 chunk_size with
+    | 0 -> lose now cl
+    | n ->
+        Frame.Reader.feed reader ~len:n buf;
+        if not (Session.absorb cl.session ~now reader) then lose now cl
+        else if Session.finished cl.session then close cl
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error _ -> lose now cl
   in
-  let absorb now cl =
-    match cl.fd with
-    | None -> ()
-    | Some fd -> (
-        match Unix.read fd buf 0 chunk_size with
-        | 0 ->
-            drop_conn cl;
-            if cl.inflight <> None then begin
-              Rtt.backoff cl.rtt;
-              cl.inflight <- None;
-              cl.wait_until <- now +. rto_s cl.rtt
-            end
-        | n ->
-            Frame.Reader.feed cl.reader ~len:n buf;
-            let rec pump () =
-              match Frame.Reader.next cl.reader with
-              | Frame.Reader.Await -> ()
-              | Frame.Reader.Corrupt _ -> drop_conn cl
-              | Frame.Reader.Frame payload ->
-                  (match (Wire.decode_response payload, cl.inflight, cl.todo) with
-                  | Ok (Wire.Ack { seq; _ }), Some (fseq, sent, re), item :: rest
-                    when seq = fseq && seq = item.Loadgen.seq ->
-                      if not re then
-                        Rtt.observe cl.rtt
-                          (int_of_float ((now -. sent) *. 1e9));
-                      Rtt.note_success cl.rtt;
-                      cl.todo <- rest;
-                      cl.inflight <- None;
-                      cl.attempts <- 0;
-                      cl.acked <- cl.acked + 1;
-                      cl.wait_until <- now
-                  | Ok (Wire.Busy _), Some _, _ ->
-                      cl.busy <- cl.busy + 1;
-                      Rtt.backoff cl.rtt;
-                      cl.inflight <- None;
-                      cl.wait_until <- now +. rto_s cl.rtt
-                  | Ok (Wire.Rejected _), Some _, _ ->
-                      cl.todo <- (match cl.todo with [] -> [] | _ :: r -> r);
-                      cl.inflight <- None;
-                      cl.attempts <- 0
-                  | _ -> ());
-                  if cl.fd <> None then pump ()
-            in
-            pump ()
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-        | exception Unix.Unix_error _ ->
-            drop_conn cl;
-            if cl.inflight <> None then begin
-              Rtt.backoff cl.rtt;
-              cl.inflight <- None;
-              cl.wait_until <- now +. rto_s cl.rtt
-            end)
-  in
-  let all_done () = Array.for_all (fun cl -> cl.todo = []) clients in
   let rec loop () =
-    if all_done () then Ok ()
-    else if Unix.gettimeofday () > give_up then
+    if Array.for_all (fun cl -> Session.finished cl.session) clients then Ok ()
+    else if Unix.gettimeofday () > started +. give_up_after_s then
       Error
         (Printf.sprintf "campaign did not converge within %.0f s" give_up_after_s)
     else begin
-      let now = Unix.gettimeofday () in
+      let now0 = now () in
       Array.iter
         (fun cl ->
-          match cl.inflight with
-          | Some _ when now >= cl.deadline ->
-              Rtt.backoff cl.rtt;
-              send_head now cl
-          | Some _ -> ()
-          | None ->
-              if cl.todo <> [] && now >= cl.wait_until then send_head now cl)
+          if Option.is_some cl.conn || !opened < max_conns then
+            Option.iter (transmit now0 cl) (Session.poll cl.session ~now:now0))
         clients;
-      let fds =
+      let conns =
         Array.to_list clients
-        |> List.filter_map (fun cl ->
-               match cl.fd with Some fd -> Some (fd, cl) | None -> None)
+        |> List.filter_map (fun cl -> Option.map (fun conn -> (conn, cl)) cl.conn)
       in
-      (match Unix.select (List.map fst fds) [] [] 0.02 with
+      (match Unix.select (List.map (fun ((fd, _), _) -> fd) conns) [] [] 0.02 with
       | readable, _, _ ->
-          let now = Unix.gettimeofday () in
+          let now1 = now () in
           List.iter
-            (fun (fd, cl) -> if List.mem fd readable then absorb now cl)
-            fds
+            (fun (((fd, _) as conn), cl) ->
+              if List.mem fd readable then absorb now1 cl conn)
+            conns
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       loop ()
     end
   in
-  match loop () with
+  let outcome = loop () in
+  Array.iter close clients;
+  match outcome with
   | Error _ as e -> e
   | Ok () ->
-      Array.iter (fun cl -> drop_conn cl) clients;
       let wall_s = Unix.gettimeofday () -. started in
       let q req =
         match request ~host ~port req with
@@ -412,16 +327,17 @@ let run_campaign ?(host = "127.0.0.1") ?(give_up_after_s = 180.) ~port ~devices
         | Ok r -> Error ("unexpected health response: " ^ Wire.response_to_string r)
         | Error _ as e -> e
       in
-      let acked = Array.fold_left (fun a cl -> a + cl.acked) 0 clients in
+      let sum f = Array.fold_left (fun a cl -> a + f cl.session) 0 clients in
+      let acked = sum Session.acked in
       let count state =
         List.fold_left (fun a (_, s) -> if s = state then a + 1 else a) 0 health
       in
       Ok
         {
           acked;
-          retries = Array.fold_left (fun a cl -> a + cl.retries) 0 clients;
-          busy = Array.fold_left (fun a cl -> a + cl.busy) 0 clients;
-          reconnects = Array.fold_left (fun a cl -> a + cl.reconnects) 0 clients;
+          retries = sum Session.retries;
+          busy = sum Session.busy;
+          reconnects = !reconnects;
           stats;
           root;
           tampered = count "tampered";

@@ -56,15 +56,8 @@ let fleet t = t.fleet
 let devices t = Array.length t.roster
 let known t id = Hashtbl.mem t.index id
 
-let verify t ~device report_bytes =
-  match Hashtbl.find_opt t.index device with
-  | None -> Error "unknown device"
-  | Some _ -> (
-      match Report.decode report_bytes with
-      | Error e -> Error ("undecodable report: " ^ e)
-      | Ok report ->
-          let verifier = Fleet.verifier_for t.fleet device in
-          Ok (Verifier.verify verifier report, report.Report.mac))
+let verify t ~device report =
+  (Verifier.verify (Fleet.verifier_for t.fleet device) report, report.Report.mac)
 
 let record t ~device ~seq verdict mac =
   match Hashtbl.find_opt t.index device with

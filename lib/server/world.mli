@@ -28,12 +28,12 @@ val fleet : t -> Fleet.t
 val devices : t -> int
 val known : t -> string -> bool
 
-val verify : t -> device:string -> Bytes.t -> (Verifier.verdict * Bytes.t, string) result
-(** Decode and verify one submitted report against [device]'s expected
-    image; returns the verdict and the report MAC (the Merkle leaf
-    material). Builds a fresh verifier per call from immutable
-    provisioning data, so concurrent calls from a parallel drain are
-    safe. [Error] for unknown devices and undecodable reports. *)
+val verify : t -> device:string -> Report.t -> Verifier.verdict * Bytes.t
+(** Verify one decoded report against [device]'s expected image; returns
+    the verdict and the report MAC (the Merkle leaf material). Builds a
+    fresh verifier per call from immutable provisioning data, so
+    concurrent calls from a parallel drain are safe. Raises [Not_found]
+    for unknown devices. *)
 
 val record : t -> device:string -> seq:int -> Verifier.verdict -> Bytes.t -> unit
 (** Fold one verified submission into the verdict table. Submissions

@@ -6,7 +6,9 @@
 #   victim    — the server is kill -9'd mid-ingest and restarted over the
 #               same journal directory, while the load generator rides out
 #               the outage with reconnect + backoff.
-# The gate requires the victim's recovered fleet Merkle root and accepted
+# The gate requires the reference root to equal the pinned one (so a change
+# that moves the real-socket result fails here, not only in comparison
+# with itself), the victim's recovered fleet Merkle root and accepted
 # count to be bit-identical to the reference, and that the restart really
 # replayed journaled reports (recovered > 0 — i.e. the kill landed inside
 # the ingest window, not before or after it). The kill instant is wall
@@ -21,6 +23,8 @@ DEVICES=200
 REPORTS=10
 SEED=7
 WORK=_build/server-kill-gate
+# the fleet root of the plan above, unkilled
+PINNED_ROOT=61084720acac0a70140bd839b27b40097b38521e078ab1f3b08a6a82513fa116
 
 [ -x "$RATOOL" ] || { echo "server_kill_gate: run 'dune build' first" >&2; exit 2; }
 rm -rf "$WORK"
@@ -49,6 +53,10 @@ wait $REF_PID 2>/dev/null || true
 
 [ -n "$REF_ROOT" ] || { echo "server_kill_gate: no root in reference run" >&2; exit 1; }
 echo "reference: accepted=$REF_ACCEPTED root=$REF_ROOT"
+if [ "$REF_ROOT" != "$PINNED_ROOT" ]; then
+  echo "server_kill_gate: reference root moved from the pinned $PINNED_ROOT" >&2
+  exit 1
+fi
 
 # --- victim: kill -9 mid-ingest, restart, same journal -------------------
 attempt=1
@@ -105,4 +113,4 @@ if [ "$VICTIM_ACCEPTED" != "$REF_ACCEPTED" ]; then
   echo "server_kill_gate: accepted count diverged ($VICTIM_ACCEPTED vs $REF_ACCEPTED)" >&2
   exit 1
 fi
-echo "server_kill_gate: OK (root bit-identical, $RECOVERED reports replayed from the journal)"
+echo "server_kill_gate: OK (root pinned and bit-identical, $RECOVERED reports replayed from the journal)"

@@ -1,9 +1,11 @@
 (* Tests for the attestation control plane: wire codec round trips, the
    deterministic server core (bounded queue, shedding, dedup, journaled
-   ingest), crash recovery through Journal.restart, simulated-network
-   campaigns under stream faults (determinism per seed, invariance across
-   --jobs, restart root bit-identity), and the real-TCP shell (a stalled
-   client must not block other sessions). *)
+   ingest), crash recovery through Journal.restart, the sans-IO session
+   machines both transports run, simulated-network campaigns under stream
+   faults (determinism per seed, invariance across --jobs, restart root
+   bit-identity, the pinned server-chaos bytes), and the real-TCP driver
+   (a stalled client must not block other sessions; more connections than
+   select(2) can watch must not crash the server). *)
 
 open Ra_server
 module Prng = Ra_sim.Prng
@@ -85,6 +87,190 @@ let test_wire_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty request decoded"
 
+(* --- core ----------------------------------------------------------------- *)
+
+let mem_core ~devices ~capacity =
+  let disk = Disk.Mem.disk (Disk.Mem.create ()) in
+  (disk, Core.create ~config:{ Core.devices; seed = 7; capacity } disk)
+
+let test_undecodable_submit_rejected () =
+  let disk, core = mem_core ~devices:8 ~capacity:4 in
+  (match
+     Core.handle core
+       (Wire.Submit { device = "node-00000"; seq = 1; report = Bytes.of_string "junk" })
+   with
+  | Wire.Rejected _ -> ()
+  | r -> Alcotest.failf "junk report answered %s" (Wire.response_to_string r));
+  check Alcotest.int "nothing queued" 0 (Core.pending core);
+  check Alcotest.int "counted as rejected" 1 (Core.counters core).Wire.rejected;
+  check Alcotest.int "nothing accepted" 0 (Core.counters core).Wire.accepted;
+  (match Core.handle core Wire.Fleet_root with
+  | Wire.Root _ -> ()
+  | r -> Alcotest.failf "fleet root answered %s" (Wire.response_to_string r));
+  match Core.recover disk with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "recovery after a junk submit: %s" e
+
+(* --- session machines, no sockets ----------------------------------------- *)
+
+let sealed_response resp = Frame.seal_stream (Wire.encode_response resp)
+
+(* Run one server step over [reader], collecting the replies. *)
+let serve_step core reader =
+  let replies = ref [] in
+  let open_ =
+    Session.serve core reader ~reply:(fun frame ->
+        replies := frame :: !replies;
+        true)
+  in
+  (open_, List.rev !replies)
+
+let test_serve_every_split () =
+  let _, core = mem_core ~devices:2 ~capacity:4 in
+  let stream =
+    Bytes.cat
+      (Frame.seal_stream (Wire.encode_request Wire.Counters))
+      (Frame.seal_stream (Wire.encode_request Wire.Fleet_root))
+  in
+  let expected =
+    [ sealed_response (Wire.Stats (Core.counters core));
+      sealed_response (Wire.Root (Core.root core)) ]
+  in
+  for k = 0 to Bytes.length stream do
+    let reader = Frame.Reader.create () in
+    Frame.Reader.feed reader (Bytes.sub stream 0 k);
+    let open1, first = serve_step core reader in
+    Frame.Reader.feed reader (Bytes.sub stream k (Bytes.length stream - k));
+    let open2, second = serve_step core reader in
+    if not (open1 && open2) then Alcotest.failf "split %d closed the connection" k;
+    if List.map Bytes.to_string (first @ second) <> List.map Bytes.to_string expected
+    then Alcotest.failf "split %d: wrong responses" k
+  done
+
+let test_serve_undecodable_then_next () =
+  let _, core = mem_core ~devices:2 ~capacity:4 in
+  let reader = Frame.Reader.create () in
+  Frame.Reader.feed reader (Frame.seal_stream (Bytes.of_string "\x2a"));
+  Frame.Reader.feed reader (Frame.seal_stream (Wire.encode_request Wire.Counters));
+  let open_, replies = serve_step core reader in
+  check Alcotest.bool "connection stays open" true open_;
+  match replies with
+  | [ rejected; stats ] ->
+      let decoded frame =
+        let r = Frame.Reader.create () in
+        Frame.Reader.feed r frame;
+        match Frame.Reader.next r with
+        | Frame.Reader.Frame p -> Wire.decode_response p
+        | _ -> Error "no frame"
+      in
+      (match decoded rejected with
+      | Ok (Wire.Rejected _) -> ()
+      | _ -> Alcotest.fail "undecodable payload not answered Rejected");
+      (match decoded stats with
+      | Ok (Wire.Stats _) -> ()
+      | _ -> Alcotest.fail "the next frame was not answered")
+  | _ -> Alcotest.failf "%d replies, expected 2" (List.length replies)
+
+let test_serve_corrupt_closes () =
+  let _, core = mem_core ~devices:2 ~capacity:4 in
+  let frame = Frame.seal_stream (Wire.encode_request Wire.Counters) in
+  let last = Bytes.length frame - 1 in
+  Bytes.set frame last (Char.chr (Char.code (Bytes.get frame last) lxor 1));
+  let reader = Frame.Reader.create () in
+  Frame.Reader.feed reader frame;
+  let open_, replies = serve_step core reader in
+  check Alcotest.bool "corrupt stream closes" false open_;
+  check Alcotest.int "nothing answered" 0 (List.length replies)
+
+(* Client machine: 1 ms ticks, RTO 100 ticks before any sample. *)
+let tick_ns = 1_000_000
+
+let session_client seqs =
+  let rtt =
+    Ra_core.Rtt.create ~initial_rto:(Ra_sim.Timebase.ms 100)
+      ~min_rto:(Ra_sim.Timebase.ms 10) ~max_rto:(Ra_sim.Timebase.s 10) ()
+  in
+  let items =
+    Array.of_list
+      (List.map
+         (fun seq -> { Loadgen.device = "node-00000"; seq; report = Bytes.of_string "r" })
+         seqs)
+  in
+  (rtt, Session.client ~tick_ns rtt items)
+
+let respond c ~now resp =
+  let reader = Frame.Reader.create () in
+  Frame.Reader.feed reader (sealed_response resp);
+  check Alcotest.bool "response stream intact" true (Session.absorb c ~now reader)
+
+let ack seq = Wire.Ack { device = "node-00000"; seq }
+
+(* The sequence number of the Submit in a sealed request frame, if any. *)
+let sent = function
+  | None -> None
+  | Some frame -> (
+      let r = Frame.Reader.create () in
+      Frame.Reader.feed r frame;
+      match Frame.Reader.next r with
+      | Frame.Reader.Frame p -> (
+          match Wire.decode_request p with
+          | Ok (Wire.Submit { seq; _ }) -> Some seq
+          | _ -> None)
+      | _ -> None)
+
+let seq_opt = Alcotest.(option int)
+let hold rtt = Ra_core.Rtt.rto rtt / tick_ns
+
+let test_client_karn () =
+  let rtt, c = session_client [ 1; 2 ] in
+  check seq_opt "first send" (Some 1) (sent (Session.poll c ~now:0));
+  check seq_opt "nothing before the RTO" None (sent (Session.poll c ~now:99));
+  check seq_opt "RTO retransmission" (Some 1) (sent (Session.poll c ~now:100));
+  respond c ~now:120 (ack 1);
+  check Alcotest.int "retransmitted exchange adds no sample" 0 (Ra_core.Rtt.samples rtt);
+  check Alcotest.int "one retry" 1 (Session.retries c);
+  check seq_opt "next item right away" (Some 2) (sent (Session.poll c ~now:120));
+  respond c ~now:130 (ack 2);
+  check Alcotest.int "clean exchange adds a sample" 1 (Ra_core.Rtt.samples rtt);
+  check Alcotest.int "both acked" 2 (Session.acked c);
+  check Alcotest.bool "finished" true (Session.finished c)
+
+let test_client_busy_holds () =
+  let rtt, c = session_client [ 1 ] in
+  ignore (Session.poll c ~now:0);
+  respond c ~now:5 (Wire.Busy { queued = 4; capacity = 4 });
+  check Alcotest.int "busy counted" 1 (Session.busy c);
+  let h = hold rtt in
+  check seq_opt "held for one RTO" None (sent (Session.poll c ~now:(5 + h - 1)));
+  check seq_opt "resent after one RTO" (Some 1) (sent (Session.poll c ~now:(5 + h)))
+
+let test_client_stale_ack () =
+  let _, c = session_client [ 1; 2 ] in
+  ignore (Session.poll c ~now:0);
+  respond c ~now:10 (ack 1);
+  check seq_opt "second item sent" (Some 2) (sent (Session.poll c ~now:10));
+  respond c ~now:20 (ack 1);
+  check Alcotest.int "stale ack retires nothing" 1 (Session.acked c);
+  check seq_opt "second item still in flight" None (sent (Session.poll c ~now:20));
+  respond c ~now:30 (ack 2);
+  check Alcotest.bool "finished" true (Session.finished c)
+
+let test_client_rejected_retires () =
+  let _, c = session_client [ 1; 2 ] in
+  ignore (Session.poll c ~now:0);
+  respond c ~now:10 (Wire.Rejected "no");
+  check Alcotest.int "nothing acked" 0 (Session.acked c);
+  check seq_opt "head item retired" (Some 2) (sent (Session.poll c ~now:10))
+
+let test_client_lost_resends () =
+  let rtt, c = session_client [ 1 ] in
+  ignore (Session.poll c ~now:0);
+  Session.lost c ~now:10;
+  let h = hold rtt in
+  check seq_opt "held for one RTO" None (sent (Session.poll c ~now:(10 + h - 1)));
+  check seq_opt "resent after one RTO" (Some 1) (sent (Session.poll c ~now:(10 + h)));
+  check Alcotest.int "counted as a retry" 1 (Session.retries c)
+
 (* --- netsim campaigns ---------------------------------------------------- *)
 
 let smoke_config =
@@ -158,6 +344,15 @@ let test_netsim_restart_root_bit_identical () =
     killed.Netsim.tampered;
   if killed.Netsim.counters.Wire.recovered = 0 then
     Alcotest.fail "the crash recovered nothing — it landed before any ingest"
+
+(* The output of `ratool server-chaos --trials 5`, pinned: no change to
+   the session layer or either driver may move a byte of it. *)
+let test_server_chaos_golden () =
+  let golden =
+    In_channel.with_open_bin "golden/server-chaos.txt" In_channel.input_all
+  in
+  check Alcotest.string "server-chaos --trials 5 output" golden
+    (Server_chaos.render (Server_chaos.run ~trials:5 ()))
 
 (* --- real TCP shell ------------------------------------------------------- *)
 
@@ -238,6 +433,44 @@ let test_tcp_quarantine_endpoint () =
             (List.assoc "node-00002" entries)
       | _ -> Alcotest.fail "health query failed")
 
+(* Open [n] sockets, or none when the descriptor limit is lower. *)
+let open_sockets n =
+  let rec go acc k =
+    if k = 0 then Some acc
+    else
+      match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
+      | s -> go (s :: acc) (k - 1)
+      | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+          List.iter Unix.close acc;
+          None
+  in
+  go [] n
+
+let test_more_sockets_than_select () =
+  with_server ~devices:4 ~seed:7 ~capacity:8 (fun () ->
+      match open_sockets 1100 with
+      | None -> Alcotest.skip ()
+      | Some socks ->
+          let close s = try Unix.close s with Unix.Unix_error _ -> () in
+          Fun.protect
+            ~finally:(fun () -> List.iter close socks)
+            (fun () ->
+              let addr = Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", tcp_port) in
+              (* oldest first: these are the connections the server holds *)
+              let socks = List.rev socks in
+              List.iter (fun s -> Unix.connect s addr) socks;
+              List.iteri (fun i s -> if i < 200 then close s) socks;
+              let rec counters n =
+                match Tcp.request ~port:tcp_port ~timeout_s:1.0 Wire.Counters with
+                | Ok (Wire.Stats _) -> ()
+                | _ when n > 0 ->
+                    ignore (Unix.select [] [] [] 0.1);
+                    counters (n - 1)
+                | Ok r -> Alcotest.failf "counters answered %s" (Wire.response_to_string r)
+                | Error e -> Alcotest.failf "server gone after 1,100 sockets: %s" e
+              in
+              counters 50))
+
 let () =
   Alcotest.run "server"
     [
@@ -248,14 +481,36 @@ let () =
           Alcotest.test_case "garbage rejected" `Quick test_wire_rejects_garbage;
         ] );
       (* the tcp group forks a real server per test, and OCaml 5 forbids
-         Unix.fork once domains exist — so it must run before the netsim
-         group, whose Core.drain spins up the Ra_parallel pool *)
+         Unix.fork once domains exist — so it must run before every group
+         whose Core.drain spins up the Ra_parallel pool *)
       ( "tcp",
         [
           Alcotest.test_case "stalled client cannot block other sessions"
             `Quick test_stalled_client_does_not_block;
           Alcotest.test_case "quarantine endpoint" `Quick
             test_tcp_quarantine_endpoint;
+          Alcotest.test_case "survives more sockets than select" `Quick
+            test_more_sockets_than_select;
+        ] );
+      ( "core",
+        [
+          Alcotest.test_case "undecodable submit rejected" `Quick
+            test_undecodable_submit_rejected;
+        ] );
+      ( "sansio",
+        [
+          Alcotest.test_case "server step at every split" `Quick
+            test_serve_every_split;
+          Alcotest.test_case "undecodable payload, next answered" `Quick
+            test_serve_undecodable_then_next;
+          Alcotest.test_case "corrupt frame closes" `Quick test_serve_corrupt_closes;
+          Alcotest.test_case "Karn: retransmit adds no sample" `Quick test_client_karn;
+          Alcotest.test_case "Busy holds one RTO" `Quick test_client_busy_holds;
+          Alcotest.test_case "stale Ack ignored" `Quick test_client_stale_ack;
+          Alcotest.test_case "Rejected retires the head" `Quick
+            test_client_rejected_retires;
+          Alcotest.test_case "lost connection resends" `Quick
+            test_client_lost_resends;
         ] );
       ( "netsim",
         [
@@ -266,5 +521,7 @@ let () =
           qtest prop_netsim_jobs_invariant;
           Alcotest.test_case "restart root bit-identity" `Quick
             test_netsim_restart_root_bit_identical;
+          Alcotest.test_case "server-chaos golden bytes" `Quick
+            test_server_chaos_golden;
         ] );
     ]
