@@ -1,4 +1,4 @@
-.PHONY: build test lint lint-update gen-check chaos fleet fleet-chaos replay serve server-chaos server-kill-gate check bench bench-json bench-check clean
+.PHONY: build test lint lint-update chaos fleet fleet-chaos replay serve server-chaos server-kill-gate check bench bench-json bench-check clean
 
 build:
 	dune build
@@ -15,12 +15,6 @@ test: build
 # stays visible.
 lint: build
 	dune exec bin/ralint.exe -- --gate-empty-baseline
-
-# The interleaved SHA-256 kernel is generated code: re-run the generator
-# and fail if the checked-in file differs from what it emits.
-gen-check:
-	python3 tools/gen_sha256_multi.py
-	git diff --exit-code lib/crypto/sha256_multi.ml
 
 # Accept the current findings into the ratchet baseline (review the
 # LINT_BASELINE.json diff before committing — prefer fixing or an
@@ -81,7 +75,7 @@ server-chaos: build
 server-kill-gate: build
 	sh scripts/server_kill_gate.sh
 
-check: build test lint gen-check chaos fleet fleet-chaos replay server-chaos
+check: build test lint chaos fleet fleet-chaos replay server-chaos
 
 # Full harness: regenerate every table/figure + Bechamel microbenchmarks.
 bench: build

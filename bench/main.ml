@@ -189,13 +189,6 @@ let hash_tests =
         ~name:(Ra_crypto.Algo.hash_name hash ^ " 64KiB")
         (Staged.stage (fun () -> ignore (Ra_crypto.Algo.digest hash buffer_64k))))
     Ra_crypto.Algo.all_hashes
-  @
-  (* Interleaved kernel over the same 64 KiB, cut into 1 KiB messages. *)
-  let batch = Array.init 64 (fun i -> Bytes.sub buffer_64k (i * 1024) 1024) in
-  [
-    Test.make ~name:"SHA-256 64KiB batch (2 lanes)"
-      (Staged.stage (fun () -> ignore (Ra_crypto.Sha256_multi.digest_many batch)));
-  ]
 
 let mac_tests =
   let key = Bytes.of_string "bench-mac-key" in
@@ -204,14 +197,6 @@ let mac_tests =
       (Staged.stage (fun () -> ignore (Ra_crypto.Hmac.Sha256.mac ~key buffer_64k)));
     Test.make ~name:"BLAKE2b keyed 64KiB"
       (Staged.stage (fun () -> ignore (Ra_crypto.Blake2b.mac ~key buffer_64k)));
-    (let pairs =
-       Array.init 64 (fun i ->
-           let m = Bytes.sub buffer_64k (i * 1024) 1024 in
-           (m, Ra_crypto.Hmac.Sha256.mac ~key m))
-     in
-     Test.make ~name:"HMAC-SHA-256 verify_many 64x1KiB"
-       (Staged.stage (fun () ->
-            ignore (Ra_crypto.Hmac.Sha256.verify_many ~key pairs))));
   ]
 
 let bignum_tests =

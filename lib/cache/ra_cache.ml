@@ -102,10 +102,10 @@ module Store = struct
 
   (* Batch lookup: the batch is partitioned by stripe, and each stripe's
      sub-batch is resolved under ONE acquisition of that stripe's lock —
-     hits and misses split first, then all misses computed together by the
-     interleaved kernel (Algo.digest_many), still inside the critical
-     section. An element's classification (table hit, first-occurrence
-     miss, in-batch duplicate) depends only on its own stripe's table and
+     hits and misses split first, then all misses computed together
+     (Algo.digest_many), still inside the critical section. An element's
+     classification (table hit, first-occurrence miss, in-batch
+     duplicate) depends only on its own stripe's table and
      the sub-batch it shares that stripe with — duplicates always land in
      the same stripe — so results, table state and every counter are
      bit-identical to replaying the same contents through single [digest]

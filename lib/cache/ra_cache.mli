@@ -54,11 +54,10 @@ module Store : sig
   (** Batch {!digest}: the batch is partitioned by stripe and each
       stripe's sub-batch is resolved under one acquisition of that
       stripe's lock — hits and misses split first, then all misses
-      computed together through the interleaved kernel. Results, table
-      state and every counter are bit-identical to calling {!digest} once
-      per element in order (an in-batch duplicate counts as a hit after
-      its first occurrence). Contents are borrowed for the duration of
-      the call. *)
+      computed together. Results, table state and every counter are
+      bit-identical to calling {!digest} once per element in order (an
+      in-batch duplicate counts as a hit after its first occurrence).
+      Contents are borrowed for the duration of the call. *)
 
   val lookups : t -> int
   (** Counter reads sum over stripes, stripe lock by stripe lock —

@@ -18,7 +18,7 @@ type t = {
   store : Ra_cache.Store.t;
   firmware_seed : int;
   mutable roster : (device_id * entry) list; (* newest first *)
-  ids : (device_id, unit) Hashtbl.t; (* duplicate check in O(1), not O(roster) *)
+  ids : (device_id, entry) Hashtbl.t; (* O(1) lookup; roster keeps the order *)
 }
 
 (* One firmware image for the whole fleet, derived from the master secret:
@@ -54,7 +54,7 @@ let fleet_config t id config =
 
 let register t id entry =
   if Hashtbl.mem t.ids id then invalid_arg "Fleet.provision: duplicate id";
-  Hashtbl.replace t.ids id ();
+  Hashtbl.replace t.ids id entry;
   t.roster <- (id, entry) :: t.roster
 
 let provision t id ?(config = Ra_device.Device.default_config) () =
@@ -73,7 +73,7 @@ let materialize (_, entry) =
     Option.iter (fun f -> f device) tamper;
     device
 
-let device t id = materialize (id, List.assoc id t.roster)
+let device t id = materialize (id, Hashtbl.find t.ids id)
 
 let verifier_for t id = Verifier.of_device (device t id)
 

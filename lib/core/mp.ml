@@ -40,14 +40,10 @@ let counter_bytes c =
    key-independent, which is what lets {!Ra_cache} memoise them per device
    and share them across a whole fleet; the MAC itself still binds nonce,
    counter, traversal order and every block index under the device key. *)
-let mac_over_digests ?sched ~hash ~key ~nonce ~counter ~order ~digests () =
+let mac_over_digests ~hash ~key ~nonce ~counter ~order ~digests =
   if Array.length digests <> Array.length order then
     invalid_arg "Mp.mac_over_digests: digests/order length mismatch";
-  let ctx =
-    match sched with
-    | Some s -> Ra_crypto.Mac_stream.create_with s
-    | None -> Ra_crypto.Mac_stream.create hash ~key
-  in
+  let ctx = Ra_crypto.Mac_stream.create hash ~key in
   Ra_crypto.Mac_stream.update ctx nonce;
   (match counter with
   | Some c -> Ra_crypto.Mac_stream.update ctx (counter_bytes c)
@@ -63,7 +59,7 @@ let mac_over ~hash ~key ~nonce ~counter ~order ~block_content =
   let digests =
     Array.map (fun block -> Ra_crypto.Algo.digest hash (block_content block)) order
   in
-  mac_over_digests ~hash ~key ~nonce ~counter ~order ~digests ()
+  mac_over_digests ~hash ~key ~nonce ~counter ~order ~digests
 
 (* Digest one block through the device's cache when it has one: a hit on
    an unchanged version (or on identical content in the shared store)
@@ -80,8 +76,8 @@ let block_digest device hash block =
 
 (* Batch counterpart of [block_digest]: one zero-copy borrow of every
    block in the traversal order, one pass through the cache's batch entry
-   point — so the whole round costs one store lock acquisition and the
-   misses go through the interleaved kernel together. *)
+   point — so the whole round costs one store lock acquisition per
+   stripe it touches, not one per block. *)
 let block_digests device hash order =
   let mem = device.Device.memory in
   Memory.with_blocks mem order (fun contents ->

@@ -59,19 +59,15 @@ val mac_over :
     traversal order and the device key. *)
 
 val mac_over_digests :
-  ?sched:Ra_crypto.Mac_stream.key_schedule ->
   hash:Ra_crypto.Algo.hash ->
   key:Bytes.t ->
   nonce:Bytes.t ->
   counter:int option ->
   order:int array ->
   digests:Bytes.t array ->
-  unit ->
   Bytes.t
 (** Same MAC, fed precomputed per-block digests ([digests.(i)] pairs with
-    [order.(i)]); used by callers that obtain digests from a cache.
-    [?sched] supplies a precomputed key schedule (it must match [hash]
-    and [key]) so batch verification derives the key state once. *)
+    [order.(i)]); used by callers that obtain digests from a cache. *)
 
 val block_digest : Ra_device.Device.t -> Ra_crypto.Algo.hash -> int -> Bytes.t
 (** Digest of one block of the device's memory, served through the device's
@@ -81,6 +77,6 @@ val block_digest : Ra_device.Device.t -> Ra_crypto.Algo.hash -> int -> Bytes.t
 val block_digests :
   Ra_device.Device.t -> Ra_crypto.Algo.hash -> int array -> Bytes.t array
 (** Batch {!block_digest} over a traversal order of distinct blocks: one
-    zero-copy borrow, one store lock acquisition, misses hashed by the
-    interleaved kernel. Digests and cache counters are bit-identical to
-    the per-block calls. Results are shared — treat as immutable. *)
+    zero-copy borrow and one {!Ra_cache.block_digest_many} call. Digests
+    and cache counters are bit-identical to the per-block calls. Results
+    are shared — treat as immutable. *)

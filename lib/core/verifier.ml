@@ -69,7 +69,7 @@ let digest_content_many t hash contents =
    sides of a fleet drive the shared store exclusively through its
    single-lock batch entry point — and the store counters still land
    exactly as the per-block calls would have. *)
-let expected_mac_with ?sched t report =
+let expected_mac t report =
   let blocks = Bytes.length t.expected_image / t.block_size in
   if not (valid_order report.Report.order blocks) then None
   else begin
@@ -112,45 +112,23 @@ let expected_mac_with ?sched t report =
           digests.(i) <- Some fresh.(k))
         idxs;
       Some
-        (Mp.mac_over_digests ?sched ~hash ~key:t.key
+        (Mp.mac_over_digests ~hash ~key:t.key
            ~nonce:report.Report.nonce ~counter:report.Report.counter
            ~order:report.Report.order
-           ~digests:(Array.map Option.get digests) ())
+           ~digests:(Array.map Option.get digests))
     end
   end
 
-let expected_mac t report = expected_mac_with t report
-
-let mac_matches ?sched t report =
-  match expected_mac_with ?sched t report with
+let mac_matches t report =
+  match expected_mac t report with
   | None -> false
   | Some mac -> Ra_crypto.Bytesutil.constant_time_equal mac report.Report.mac
 
-let verify_with ?sched t report =
+let verify t report =
   let blocks = Bytes.length t.expected_image / t.block_size in
-  if Array.length report.Report.order = blocks && mac_matches ?sched t report
+  if Array.length report.Report.order = blocks && mac_matches t report
   then Clean
   else Tampered
-
-let verify t report = verify_with t report
-
-(* Batch verification: one key-schedule derivation per hash algorithm in
-   the batch (almost always exactly one), shared across every report;
-   expected digests already flow batch-wise per report. Each tag compare
-   stays constant-time. *)
-let verify_many t reports =
-  let scheds = Hashtbl.create 2 in
-  let sched_for hash =
-    match Hashtbl.find_opt scheds hash with
-    | Some s -> s
-    | None ->
-      let s = Ra_crypto.Mac_stream.schedule hash ~key:t.key in
-      Hashtbl.add scheds hash s;
-      s
-  in
-  Array.map
-    (fun report -> verify_with ~sched:(sched_for report.Report.hash) t report)
-    reports
 
 let verify_region t ~region report =
   let sorted a =

@@ -42,13 +42,6 @@ val expected_mac : t -> Report.t -> Bytes.t option
 val verify : t -> Report.t -> verdict
 (** Requires the report to cover all blocks (its order is a permutation). *)
 
-val verify_many : t -> Report.t array -> verdict array
-(** Batch {!verify}: derives the MAC key schedule once per hash algorithm
-    in the batch and shares it across all reports; expected block digests
-    are gathered batch-wise per report (one store lock acquisition,
-    interleaved hashing of misses). Verdicts are bit-identical to mapping
-    {!verify}; every tag compare stays constant-time. *)
-
 val verify_region : t -> region:int list -> Report.t -> verdict
 (** Per-process (TyTAN-style) verification: the report must cover exactly
     [region]'s blocks, in any order, with a matching MAC. *)

@@ -30,16 +30,7 @@ let digest h b =
   let module H = (val hash_module h) in
   H.digest b
 
-(* SHA-256 has an interleaved multi-block kernel; the other algorithms
-   fall back to the scalar loop (BLAKE2's G already mixes four
-   independent chains per round, so interleaving whole blocks on top of
-   it was measured to buy nothing — see DESIGN.md). *)
-let digest_many h msgs =
-  match h with
-  | SHA_256 -> Sha256_multi.digest_many msgs
-  | SHA_512 | BLAKE2b | BLAKE2s ->
-    let module H = (val hash_module h) in
-    Array.map H.digest msgs
+let digest_many h msgs = Array.map (digest h) msgs
 
 let hmac h ~key b =
   match h with

@@ -16,11 +16,9 @@ val hash_of_name : string -> hash option
 val digest : hash -> Bytes.t -> Bytes.t
 
 val digest_many : hash -> Bytes.t array -> Bytes.t array
-(** Digest a batch of independent messages, bit-identical to mapping
-    {!digest} but routed through an interleaved multi-way kernel where
-    one exists (SHA-256; the rest fall back to the scalar loop).
-    Worth it whenever the caller already holds many blocks — one fleet
-    measurement round produces thousands. *)
+(** Digest a batch of independent messages: [Array.map (digest h)]. The
+    batch shape serves callers that resolve a whole measurement round at
+    once; every algorithm hashes each message on the scalar path. *)
 
 val hmac : hash -> key:Bytes.t -> Bytes.t -> Bytes.t
 (** HMAC for the SHA family; native keyed mode for the BLAKE2 family

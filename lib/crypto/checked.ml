@@ -319,7 +319,3 @@ let blake2s msg =
   let out = Bytes.create 32 in
   for i = 0 to 7 do store32_le out (4 * i) h.(i) done;
   out
-
-(* Batch reference: the interleaved kernel must be observationally just a
-   map of the one-shot over the batch. *)
-let sha256_many msgs = Array.map sha256 msgs

@@ -17,7 +17,3 @@ val blake2b : Bytes.t -> Bytes.t
 
 val blake2s : Bytes.t -> Bytes.t
 (** Must agree with [Blake2s.digest] (unkeyed, 32-byte) on every input. *)
-
-val sha256_many : Bytes.t array -> Bytes.t array
-(** Naive batch reference: [Array.map sha256]. Must agree with
-    [Sha256_multi.digest_many] on every batch. *)

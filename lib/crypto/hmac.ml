@@ -2,9 +2,8 @@ module Make (H : Digest_intf.S) = struct
   (* Precomputed key schedule: the inner state after absorbing the ipad
      block and the outer state after absorbing the opad block. Deriving it
      costs the key normalisation plus two compress calls; every MAC under
-     the same key clones these states instead of re-deriving them, which
-     is what keeps batch verification from paying the key setup per
-     report. *)
+     the same key clones these states instead of re-deriving them, and a
+     context's finalize leaves the schedule valid for the next message. *)
   type schedule = { inner0 : H.ctx; outer0 : H.ctx }
 
   type ctx = { inner : H.ctx; sched : schedule }
@@ -51,10 +50,6 @@ module Make (H : Digest_intf.S) = struct
     Bytesutil.constant_time_equal tag (mac_with sched msg)
 
   let verify ~key ~tag msg = verify_with (schedule ~key) ~tag msg
-
-  let verify_many ~key pairs =
-    let sched = schedule ~key in
-    Array.map (fun (msg, tag) -> verify_with sched ~tag msg) pairs
 end
 
 module Sha256 = Make (Sha256)

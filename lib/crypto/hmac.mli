@@ -37,11 +37,6 @@ module Make (H : Digest_intf.S) : sig
 
   val verify_with : schedule -> tag:Bytes.t -> Bytes.t -> bool
   (** Constant-time tag check from a precomputed key schedule. *)
-
-  val verify_many : key:Bytes.t -> (Bytes.t * Bytes.t) array -> bool array
-  (** [verify_many ~key pairs] checks each [(message, tag)] pair,
-      deriving the key schedule exactly once for the whole batch. Result
-      order matches input order; each compare is constant-time. *)
 end
 
 module Sha256 : module type of Make (Sha256)

@@ -13,28 +13,6 @@ let create hash ~key =
   | Algo.BLAKE2b -> B2b (Blake2b.init_keyed ~key ~size:Blake2b.digest_size)
   | Algo.BLAKE2s -> B2s (Blake2s.init_keyed ~key ~size:Blake2s.digest_size)
 
-(* Key schedules: the HMAC family stores the precomputed ipad/opad
-   states; the BLAKE2 family the post-key-block context. Either way, one
-   key setup serves any number of messages via a cheap state copy. *)
-type key_schedule =
-  | Sched256 of Hmac.Sha256.schedule
-  | Sched512 of Hmac.Sha512.schedule
-  | SchedB2b of Blake2b.ctx
-  | SchedB2s of Blake2s.ctx
-
-let schedule hash ~key =
-  match hash with
-  | Algo.SHA_256 -> Sched256 (Hmac.Sha256.schedule ~key)
-  | Algo.SHA_512 -> Sched512 (Hmac.Sha512.schedule ~key)
-  | Algo.BLAKE2b -> SchedB2b (Blake2b.init_keyed ~key ~size:Blake2b.digest_size)
-  | Algo.BLAKE2s -> SchedB2s (Blake2s.init_keyed ~key ~size:Blake2s.digest_size)
-
-let create_with = function
-  | Sched256 s -> Hmac256 (Hmac.Sha256.init_with s)
-  | Sched512 s -> Hmac512 (Hmac.Sha512.init_with s)
-  | SchedB2b c -> B2b (Blake2b.copy c)
-  | SchedB2s c -> B2s (Blake2s.copy c)
-
 let update_sub t src ~pos ~len =
   match t with
   | Hmac256 c -> Hmac.Sha256.update c src ~pos ~len

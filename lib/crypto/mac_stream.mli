@@ -8,17 +8,6 @@ type t
 
 val create : Algo.hash -> key:Bytes.t -> t
 
-type key_schedule
-(** Precomputed key state (HMAC ipad/opad, or BLAKE2 post-key block):
-    derive once, then mint any number of independent contexts from it
-    with {!create_with} — what batch verification leans on. *)
-
-val schedule : Algo.hash -> key:Bytes.t -> key_schedule
-
-val create_with : key_schedule -> t
-(** [create_with (schedule h ~key)] is equivalent to [create h ~key]
-    without re-deriving the key state. *)
-
 val update : t -> Bytes.t -> unit
 
 val update_sub : t -> Bytes.t -> pos:int -> len:int -> unit

@@ -54,12 +54,12 @@ let dup x = x lor (x lsl 32)
 (* Hot loop. bounds: indices into [w] and [k] are bounded by the loop
    structure (16-word schedule expanded to 64, both arrays 64 long), and
    every unsafe_load32_be offset pos + 4*i with i <= 15 sits inside the
-   64-byte block that the caller validated (update's blocking here;
-   Sha256_multi's whole-block loop bounds for the batch path).
+   64-byte block that update's blocking already validated.
    cross-check: Ra_crypto.Checked.sha256 keeps a straightforward
    bounds-checked implementation that test/test_crypto.ml qcheck-diffs
    against this one. *)
-let compress_words h w block pos =
+let compress ctx block pos =
+  let w = ctx.w in
   for i = 0 to 15 do
     Array.unsafe_set w i (Bytesutil.unsafe_load32_be block (pos + (4 * i)))
   done;
@@ -73,6 +73,7 @@ let compress_words h w block pos =
       ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1)
       land mask)
   done;
+  let h = ctx.h in
   (* The rounds run as a tail-recursive loop so the eight state words live
      in registers and the a..h rotation is pure argument renaming instead
      of eight memory writes per round. *)
@@ -105,8 +106,6 @@ let compress_words h w block pos =
     end
   in
   rounds 0 h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7)
-
-let compress ctx block pos = compress_words ctx.h ctx.w block pos
 
 let copy ctx =
   {

@@ -1,9 +1,3 @@
 (** SHA-256 (FIPS 180-4), implemented from scratch in pure OCaml. *)
 
 include Digest_intf.S
-
-val compress_words : int array -> int array -> Bytes.t -> int -> unit
-(** [compress_words h w block pos] runs one compress over the 64-byte
-    block at [pos], updating the 8-word state [h] in place with [w] as
-    64-word schedule scratch. Internal plumbing for {!Sha256_multi}'s
-    ragged-tail finishes — the block must be fully in bounds. *)

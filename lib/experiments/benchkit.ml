@@ -80,30 +80,12 @@ let crypto_metrics ?(quick = false) () =
     (let key = Bytes.of_string "bench-key" in
      throughput_metric ~name:"hmac_sha256_mb_s" ~bytes:size ~budget (fun () ->
          ignore (Ra_crypto.Hmac.Sha256.mac ~key buffer)));
-  ]
-  @
-  (* Batch path over the same input bytes, re-cut as 1 KiB messages (the
-     shape one fleet measurement round produces), next to the scalar
-     per-message loop it replaces, so the interleaving win stays visible
-     and a regression trips compare.exe. *)
-  let msg = 1024 in
-  let batch =
-    Array.init (size / msg) (fun i -> Bytes.sub buffer (i * msg) msg)
-  in
-  [
-    throughput_metric ~name:"sha256_batch_mb_s" ~bytes:size ~budget (fun () ->
-        ignore (Ra_crypto.Algo.digest_many Ra_crypto.Algo.SHA_256 batch));
-    throughput_metric ~name:"sha256_lanes1_mb_s" ~bytes:size ~budget (fun () ->
-        ignore (Array.map Ra_crypto.Sha256.digest batch));
-    (let key = Bytes.of_string "bench-key" in
-     let pairs =
-       Array.map
-         (fun m -> (m, Ra_crypto.Hmac.Sha256.mac ~key m))
-         (Array.sub batch 0 (Array.length batch / 4))
-     in
-     let bytes = msg * Array.length pairs in
-     throughput_metric ~name:"hmac_verify_batch_mb_s" ~bytes ~budget
-       (fun () -> ignore (Ra_crypto.Hmac.Sha256.verify_many ~key pairs)));
+    (* The same input bytes re-cut as 1 KiB messages, the shape one fleet
+       measurement round produces: per-message padding and finalize cost
+       next to the one-big-message sha256_mb_s. *)
+    (let batch = Array.init (size / 1024) (fun i -> Bytes.sub buffer (i * 1024) 1024) in
+     throughput_metric ~name:"sha256_lanes1_mb_s" ~bytes:size ~budget (fun () ->
+         ignore (Array.map Ra_crypto.Sha256.digest batch)));
   ]
 
 let engine_events_metric ~budget =

@@ -79,7 +79,7 @@ let lock_class ~file arg =
   file ^ ":" ^ name
 
 let crypto_kernel_modules =
-  [ "Algo"; "Sha256"; "Sha512"; "Blake2b"; "Blake2s"; "Sha256_multi"; "Checked" ]
+  [ "Algo"; "Sha256"; "Sha512"; "Blake2b"; "Blake2s"; "Checked" ]
 
 let kernel_names = [ "digest"; "digest_many"; "digest_bytes" ]
 

@@ -192,9 +192,10 @@ let submit t ~device ~seq report =
         Wire.Ack { device; seq }
 
 (* Drain the accepted queue through verification. Batch items are grouped
-   by device (one verifier view per group) and the groups verified on the
-   domain pool; results are folded back in dequeue order, so verdict-table
-   updates — and every counter — are bit-identical for any [jobs]. *)
+   by device and the groups verified on the domain pool (World.verify
+   builds a fresh verifier view for every report); results are folded
+   back in dequeue order, so verdict-table updates — and every counter —
+   are bit-identical for any [jobs]. *)
 let drain ?jobs t =
   let n = Queue.length t.queue in
   if n = 0 then 0

@@ -88,8 +88,8 @@ let run config ~infected =
      round instead of once per side. *)
   let store = Ra_cache.Store.create () in
   (* The clean expected digests for the whole swarm are gathered up front
-     through the store's batch entry point: one lock acquisition for the
-     round, distinct firmwares hashed by the interleaved kernel. Only an
+     through the store's batch entry point: one lock acquisition per
+     stripe for the round, each distinct firmware hashed once. Only an
      infected node's own (tampered) measurement still probes singly. *)
   let clean_digests =
     Array.map snd

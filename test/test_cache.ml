@@ -32,7 +32,7 @@ let order = Array.init blocks (fun i -> i)
 let cached_mac device =
   let digests = Array.map (Mp.block_digest device hash) order in
   Mp.mac_over_digests ~hash ~key:device.Device.config.Device.key ~nonce
-    ~counter:None ~order ~digests ()
+    ~counter:None ~order ~digests
 
 let uncached_mac device =
   Mp.mac_over ~hash ~key:device.Device.config.Device.key ~nonce ~counter:None
@@ -530,6 +530,15 @@ let test_sharded_equals_reference () =
     (reference_roll (build_fleet ()))
     (Fleet.sharded_roll_call (build_fleet ()) ~jobs:3 Mp.default_config)
 
+(* The byte identity e2ebench's rollcall workload relies on: the exact
+   roll call it makes (8192 virtual devices, seed 1, 8 shards, jobs 1)
+   must keep its fleet root across refactors. *)
+let test_rollcall_root () =
+  let r = Ra_experiments.Fleet_roll.run ~devices:8192 ~seed:1 ~shards:8 ~jobs:1 () in
+  check Alcotest.string "fleet root"
+    "efed753cb1fbf2f656341ade251b9bec033fc6f4062ed197d65a7a2f6901e11c"
+    (Ra_crypto.Bytesutil.to_hex r.Ra_experiments.Fleet_roll.roll.Fleet.fleet_root)
+
 let () =
   Alcotest.run "ra_cache"
     [
@@ -566,5 +575,7 @@ let () =
             test_virtual_equals_materialized;
           Alcotest.test_case "sharded = reference" `Slow
             test_sharded_equals_reference;
+          Alcotest.test_case "rollcall root (8192, seed 1)" `Slow
+            test_rollcall_root;
         ] );
     ]
