@@ -75,7 +75,7 @@ server-chaos: build
 server-kill-gate: build
 	sh scripts/server_kill_gate.sh
 
-check: build test lint chaos fleet fleet-chaos replay server-chaos
+check: build test lint chaos fleet fleet-chaos replay server-chaos bench-check
 
 # Full harness: regenerate every table/figure + Bechamel microbenchmarks.
 bench: build

@@ -36,7 +36,6 @@ module Store = struct
     mutex : Mutex.t;
     mutable lookups : int;
     mutable computed : int;
-    mutable batched_computes : int;
   }
 
   type t = {
@@ -58,7 +57,6 @@ module Store = struct
               mutex = Mutex.create ();
               lookups = 0;
               computed = 0;
-              batched_computes = 0;
             });
       mask = count - 1;
     }
@@ -100,82 +98,6 @@ module Store = struct
     Mutex.unlock s.mutex;
     result
 
-  (* Batch lookup: the batch is partitioned by stripe, and each stripe's
-     sub-batch is resolved under ONE acquisition of that stripe's lock —
-     hits and misses split first, then all misses computed together
-     (Algo.digest_many), still inside the critical section. An element's
-     classification (table hit, first-occurrence miss, in-batch
-     duplicate) depends only on its own stripe's table and
-     the sub-batch it shares that stripe with — duplicates always land in
-     the same stripe — so results, table state and every counter are
-     bit-identical to replaying the same contents through single [digest]
-     calls in order, for any job count. Stripes are visited in ascending
-     index order and never nested, so concurrent batches cannot deadlock.
-     bounds: unsafe_to_string is an ownership cast, not an access — the
-     zero-copy views live only inside the lock, keying a scratch
-     first-occurrence table that is dropped before unlock; the permanent
-     table still receives a Bytes.to_string copy.
-     cross-check: test/test_cache.ml qcheck-diffs digest_many results and
-     all counters against a sequential replay through Store.digest. *)
-  let digest_many t algo contents =
-    let n = Array.length contents in
-    let results = Array.make n (false, Bytes.empty) in
-    if n > 0 then begin
-      let tag = algo_tag algo in
-      let nstripes = t.mask + 1 in
-      (* deterministic partition: per-stripe index lists in input order *)
-      let by_stripe = Array.make nstripes [] in
-      for i = n - 1 downto 0 do
-        let k =
-          Hashtbl.hash (tag, Bytes.unsafe_to_string contents.(i)) land t.mask
-        in
-        by_stripe.(k) <- i :: by_stripe.(k)
-      done;
-      for k = 0 to nstripes - 1 do
-        match by_stripe.(k) with
-        | [] -> ()
-        | members ->
-          let s = t.stripes.(k) in
-          Mutex.lock s.mutex;
-          s.lookups <- s.lookups + List.length members;
-          let pending = Hashtbl.create 8 in
-          let dup_of = Hashtbl.create 8 in
-          let miss_rev = ref [] in
-          List.iter
-            (fun i ->
-              let key = (tag, Bytes.unsafe_to_string contents.(i)) in
-              match Hashtbl.find_opt s.table key with
-              | Some d -> results.(i) <- (true, d)
-              | None -> (
-                match Hashtbl.find_opt pending key with
-                | Some first -> Hashtbl.add dup_of i first
-                | None ->
-                  Hashtbl.add pending key i;
-                  miss_rev := i :: !miss_rev))
-            members;
-          let miss = Array.of_list (List.rev !miss_rev) in
-          let fresh =
-            Algo.digest_many algo (Array.map (fun i -> contents.(i)) miss)
-          in
-          s.computed <- s.computed + Array.length miss;
-          s.batched_computes <- s.batched_computes + Array.length miss;
-          Array.iteri
-            (fun j i ->
-              let d = fresh.(j) in
-              Hashtbl.replace s.table (tag, Bytes.to_string contents.(i)) d;
-              results.(i) <- (false, d))
-            miss;
-          List.iter
-            (fun i ->
-              match Hashtbl.find_opt dup_of i with
-              | Some first -> results.(i) <- (true, snd results.(first))
-              | None -> ())
-            members;
-          Mutex.unlock s.mutex
-      done
-    end;
-    results
-
   (* Counter reads sum stripe-by-stripe, taking each stripe's lock in
      turn; deterministic whenever no domain is concurrently writing. *)
   let sum_over t f =
@@ -190,8 +112,6 @@ module Store = struct
   let lookups t = sum_over t (fun s -> s.lookups)
 
   let computed t = sum_over t (fun s -> s.computed)
-
-  let batched_computes t = sum_over t (fun s -> s.batched_computes)
 
   let distinct_contents t = sum_over t (fun s -> Hashtbl.length s.table)
 end
@@ -238,47 +158,5 @@ let block_digest t algo ~block ~version content =
     in
     Hashtbl.replace t.memo key (version, d);
     d
-
-(* Batch counterpart of [block_digest] for the distinct blocks of one
-   measurement round: all memo probes first, then a single
-   Store.digest_many over the misses. Because the blocks are distinct the
-   memo probes are independent of each other, so every counter (memo
-   hits, store hits, misses, and all store counters) lands exactly as if
-   [block_digest] had been called once per block in order. *)
-let block_digest_many t algo ~blocks ~versions contents =
-  let n = Array.length blocks in
-  if Array.length versions <> n || Array.length contents <> n then
-    invalid_arg "Ra_cache.block_digest_many: length mismatch";
-  let out = Array.make n Bytes.empty in
-  let tag = algo_tag algo in
-  let miss_rev = ref [] in
-  for i = 0 to n - 1 do
-    match Hashtbl.find_opt t.memo (tag, blocks.(i)) with
-    | Some (v, d) when v = versions.(i) ->
-      t.stats.hits <- t.stats.hits + 1;
-      out.(i) <- d
-    | _ -> miss_rev := i :: !miss_rev
-  done;
-  let miss = Array.of_list (List.rev !miss_rev) in
-  (match t.store with
-  | Some s ->
-    let res = Store.digest_many s algo (Array.map (fun i -> contents.(i)) miss) in
-    Array.iteri
-      (fun k i ->
-        let hit, d = res.(k) in
-        if hit then t.stats.store_hits <- t.stats.store_hits + 1
-        else t.stats.misses <- t.stats.misses + 1;
-        Hashtbl.replace t.memo (tag, blocks.(i)) (versions.(i), d);
-        out.(i) <- d)
-      miss
-  | None ->
-    let ds = Algo.digest_many algo (Array.map (fun i -> contents.(i)) miss) in
-    Array.iteri
-      (fun k i ->
-        t.stats.misses <- t.stats.misses + 1;
-        Hashtbl.replace t.memo (tag, blocks.(i)) (versions.(i), ds.(k));
-        out.(i) <- ds.(k))
-      miss);
-  out
 
 let requests stats = stats.hits + stats.store_hits + stats.misses

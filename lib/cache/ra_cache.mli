@@ -48,16 +48,10 @@ module Store : sig
   val digest : t -> Algo.hash -> Bytes.t -> bool * Bytes.t
   (** [digest t algo content] returns [(hit, digest)]. [content] is
       borrowed for the duration of the call (probed zero-copy, copied only
-      on first insertion). The digest is shared: do not mutate. *)
-
-  val digest_many : t -> Algo.hash -> Bytes.t array -> (bool * Bytes.t) array
-  (** Batch {!digest}: the batch is partitioned by stripe and each
-      stripe's sub-batch is resolved under one acquisition of that
-      stripe's lock — hits and misses split first, then all misses
-      computed together. Results, table state and every counter are
-      bit-identical to calling {!digest} once per element in order (an
-      in-batch duplicate counts as a hit after its first occurrence).
-      Contents are borrowed for the duration of the call. *)
+      on first insertion). The digest is shared: do not mutate. This is
+      the store's only entry point: every digest request that misses a
+      memo, prover or verifier side, arrives here one content at a
+      time. *)
 
   val lookups : t -> int
   (** Counter reads sum over stripes, stripe lock by stripe lock —
@@ -67,12 +61,6 @@ module Store : sig
   val computed : t -> int
   (** Number of digests actually computed = number of distinct
       [(algo, content)] pairs ever seen. *)
-
-  val batched_computes : t -> int
-  (** The subset of {!computed} performed inside {!digest_many}. When
-      every compute in a run flows through the batch entry point this
-      equals {!computed} — and is then jobs-invariant for the same
-      reason. *)
 
   val distinct_contents : t -> int
 end
@@ -90,20 +78,9 @@ val block_digest : t -> Algo.hash -> block:int -> version:int -> Bytes.t -> Byte
 (** [block_digest t algo ~block ~version content] returns the digest of
     [content], consulting the memo (keyed on [block]/[version]) and then
     the shared store. [content] is borrowed — safe to call from inside
-    {!Ra_device.Memory.with_block}. The result is shared: do not mutate. *)
-
-val block_digest_many :
-  t ->
-  Algo.hash ->
-  blocks:int array ->
-  versions:int array ->
-  Bytes.t array ->
-  Bytes.t array
-(** Batch {!block_digest} over the {e distinct} blocks of one measurement
-    round: memo probes first, then a single {!Store.digest_many} over the
-    misses. For distinct blocks the results and all counters are
-    bit-identical to calling {!block_digest} per block in order. Raises
-    [Invalid_argument] on length mismatches. *)
+    {!Ra_device.Memory.with_block}. The result is shared: do not mutate.
+    Both measurement paths, interruptible and atomic, call it once per
+    block in traversal order. *)
 
 val requests : stats -> int
 (** Total digest requests = hits + store_hits + misses. *)

@@ -61,7 +61,8 @@ val provision_virtual :
 
 val verifier_for : t -> device_id -> Verifier.t
 (** The verifier view (expected image + derived key) for an enrolled
-    device. Raises [Not_found] for unknown ids. *)
+    device, built from its provisioning config: a {!provision_virtual}
+    entry is not materialized. Raises [Not_found] for unknown ids. *)
 
 val enrolled : t -> device_id list
 (** Roster, in enrolment order. *)
@@ -79,11 +80,6 @@ type roll_call = {
   cache_hits : int;  (** served by per-device version memos *)
   store_hits : int;  (** served by the shared content-addressed store *)
   hashed : int;  (** digests actually computed, fleet-wide *)
-  batch_hashed : int;
-      (** of [hashed], computed through the store's batch entry point —
-          equals [hashed] under atomic measurement, where both the
-          prover's round and the verifier's report check batch their
-          digests *)
   distinct_blocks : int;  (** distinct block contents in the store *)
   shards : int;  (** effective shard count (requests clamp to the segment count) *)
   shard_roots : Bytes.t array;

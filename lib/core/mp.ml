@@ -74,20 +74,6 @@ let block_digest device hash block =
           content
       | None -> Ra_crypto.Algo.digest hash content)
 
-(* Batch counterpart of [block_digest]: one zero-copy borrow of every
-   block in the traversal order, one pass through the cache's batch entry
-   point — so the whole round costs one store lock acquisition per
-   stripe it touches, not one per block. *)
-let block_digests device hash order =
-  let mem = device.Device.memory in
-  Memory.with_blocks mem order (fun contents ->
-      match device.Device.cache with
-      | Some cache ->
-        Ra_cache.block_digest_many cache hash ~blocks:order
-          ~versions:(Array.map (Memory.version mem) order)
-          contents
-      | None -> Ra_crypto.Algo.digest_many hash contents)
-
 (* Shared run state threaded through the per-block continuation chain. *)
 type state = {
   device : Device.t;
@@ -269,13 +255,13 @@ let run_atomic st =
        ~duration
        ~on_complete:(fun () ->
          let mem = memory st in
-         (* The atomic window froze memory, so the whole traversal order
-            can be digested as one batch. *)
-         let digests = block_digests st.device st.config.hash st.order in
-         Array.iteri
-           (fun i block ->
+         (* The atomic window froze memory, so digesting block by block
+            here equals its state throughout the window. *)
+         Array.iter
+           (fun block ->
+             let digest = block_digest st.device st.config.hash block in
              Ra_crypto.Mac_stream.update st.ctx (index_bytes block);
-             Ra_crypto.Mac_stream.update st.ctx digests.(i);
+             Ra_crypto.Mac_stream.update st.ctx digest;
              if Device.is_data_block st.device block && not st.config.scheme.Scheme.zero_data
              then st.data_copy <- (block, Memory.read_block mem block) :: st.data_copy)
            st.order;

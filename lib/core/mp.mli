@@ -72,11 +72,5 @@ val mac_over_digests :
 val block_digest : Ra_device.Device.t -> Ra_crypto.Algo.hash -> int -> Bytes.t
 (** Digest of one block of the device's memory, served through the device's
     digest cache when enabled (zero-copy read, version-keyed memo, shared
-    store). The result is shared — treat as immutable. *)
-
-val block_digests :
-  Ra_device.Device.t -> Ra_crypto.Algo.hash -> int array -> Bytes.t array
-(** Batch {!block_digest} over a traversal order of distinct blocks: one
-    zero-copy borrow and one {!Ra_cache.block_digest_many} call. Digests
-    and cache counters are bit-identical to the per-block calls. Results
-    are shared — treat as immutable. *)
+    store). Both measurement paths digest through it, one block at a time
+    in traversal order. The result is shared — treat as immutable. *)

@@ -30,17 +30,15 @@ let create ?store ~key ~expected_image ~block_size ~data_blocks ~zero_data () =
     store;
   }
 
-let of_device device =
-  let config = device.Ra_device.Device.config in
-  let size = config.Ra_device.Device.blocks * config.Ra_device.Device.block_size in
-  create
-    ?store:config.Ra_device.Device.store
-    ~key:config.Ra_device.Device.key
+let of_config (config : Ra_device.Device.config) =
+  create ?store:config.store ~key:config.key
     ~expected_image:
-      (Ra_device.Device.firmware_image ~seed:config.Ra_device.Device.seed ~size)
-    ~block_size:config.Ra_device.Device.block_size
-    ~data_blocks:config.Ra_device.Device.data_blocks
+      (Ra_device.Device.firmware_image ~seed:config.seed
+         ~size:(config.blocks * config.block_size))
+    ~block_size:config.block_size ~data_blocks:config.data_blocks
     ~zero_data:false ()
+
+let of_device device = of_config device.Ra_device.Device.config
 
 let with_zero_data t zero_data = { t with zero_data }
 
@@ -57,67 +55,47 @@ let valid_order order blocks =
       end)
     order
 
-
-let digest_content_many t hash contents =
+let digest_content t hash content =
   match t.store with
-  | Some store -> Array.map snd (Ra_cache.Store.digest_many store hash contents)
-  | None -> Ra_crypto.Algo.digest_many hash contents
+  | Some store -> snd (Ra_cache.Store.digest store hash content)
+  | None -> Ra_crypto.Algo.digest hash content
 
-(* Expected digests for a whole report are gathered as one batch: memo
-   probes and data-copy resolution first, then a single batch digest for
-   everything still unknown. Mirrors the prover's batch path, so both
-   sides of a fleet drive the shared store exclusively through its
-   single-lock batch entry point — and the store counters still land
-   exactly as the per-block calls would have. *)
+(* A data block's expected content is the zero block or the copy the
+   report carries, digested fresh each time; a code block's digest comes
+   from the memo, else from the expected image through the store. *)
+let expected_digest t hash report block =
+  if List.mem block t.data_blocks then
+    digest_content t hash
+      (if t.zero_data then Bytes.make t.block_size '\000'
+       else List.assoc block report.Report.data_copy)
+  else
+    match Hashtbl.find_opt t.memo (hash, block) with
+    | Some d -> d
+    | None ->
+      let d =
+        digest_content t hash
+          (Bytes.sub t.expected_image (block * t.block_size) t.block_size)
+      in
+      Hashtbl.replace t.memo (hash, block) d;
+      d
+
+(* Every data block's copy is checked before anything is digested, so a
+   malformed report leaves the memo and the store untouched. *)
 let expected_mac t report =
   let blocks = Bytes.length t.expected_image / t.block_size in
+  let has_copy block =
+    t.zero_data
+    || (not (List.mem block t.data_blocks))
+    || List.mem_assoc block report.Report.data_copy
+  in
   if not (valid_order report.Report.order blocks) then None
-  else begin
+  else if not (Array.for_all has_copy report.Report.order) then None
+  else
     let hash = report.Report.hash in
-    let n = Array.length report.Report.order in
-    let digests = Array.make n None in
-    let todo_idx = ref [] and todo_content = ref [] in
-    let missing = ref false in
-    Array.iteri
-      (fun i block ->
-        let enqueue content =
-          todo_idx := i :: !todo_idx;
-          todo_content := content :: !todo_content
-        in
-        if List.mem block t.data_blocks then begin
-          if t.zero_data then enqueue (Bytes.make t.block_size '\000')
-          else
-            match List.assoc_opt block report.Report.data_copy with
-            | Some content -> enqueue content
-            | None -> missing := true
-        end
-        else
-          match Hashtbl.find_opt t.memo (hash, block) with
-          | Some d -> digests.(i) <- Some d
-          | None ->
-            enqueue
-              (Bytes.sub t.expected_image (block * t.block_size) t.block_size))
-      report.Report.order;
-    (* A missing data copy aborts cleanly before any digesting. *)
-    if !missing then None
-    else begin
-      let idxs = Array.of_list (List.rev !todo_idx) in
-      let contents = Array.of_list (List.rev !todo_content) in
-      let fresh = digest_content_many t hash contents in
-      Array.iteri
-        (fun k i ->
-          let block = report.Report.order.(i) in
-          if not (List.mem block t.data_blocks) then
-            Hashtbl.replace t.memo (hash, block) fresh.(k);
-          digests.(i) <- Some fresh.(k))
-        idxs;
-      Some
-        (Mp.mac_over_digests ~hash ~key:t.key
-           ~nonce:report.Report.nonce ~counter:report.Report.counter
-           ~order:report.Report.order
-           ~digests:(Array.map Option.get digests))
-    end
-  end
+    Some
+      (Mp.mac_over_digests ~hash ~key:t.key ~nonce:report.Report.nonce
+         ~counter:report.Report.counter ~order:report.Report.order
+         ~digests:(Array.map (expected_digest t hash report) report.Report.order))
 
 let mac_matches t report =
   match expected_mac t report with

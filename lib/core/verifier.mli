@@ -27,10 +27,14 @@ val create :
     content-addressed store — so a clean device's blocks are hashed once
     across prover and verifier, not twice. *)
 
+val of_config : Ra_device.Device.config -> t
+(** Build the verifier's view from provisioning data alone (seed-derived
+    firmware image, shared key, data-region map, shared store); no device
+    is needed. *)
+
 val of_device : Ra_device.Device.t -> t
-(** Build the verifier's view from the same provisioning data as the device
-    (seed-derived firmware image, shared key, data-region map). The verifier
-    never reads the device's live memory. *)
+(** [of_config] of the device's config. The verifier never reads the
+    device's live memory. *)
 
 val with_zero_data : t -> bool -> t
 

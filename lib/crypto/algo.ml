@@ -30,8 +30,6 @@ let digest h b =
   let module H = (val hash_module h) in
   H.digest b
 
-let digest_many h msgs = Array.map (digest h) msgs
-
 let hmac h ~key b =
   match h with
   | SHA_256 -> Hmac.Sha256.mac ~key b

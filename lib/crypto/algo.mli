@@ -14,11 +14,10 @@ val hash_of_name : string -> hash option
 (** Case-insensitive; accepts e.g. ["sha256"], ["SHA-256"], ["blake2b"]. *)
 
 val digest : hash -> Bytes.t -> Bytes.t
-
-val digest_many : hash -> Bytes.t array -> Bytes.t array
-(** Digest a batch of independent messages: [Array.map (digest h)]. The
-    batch shape serves callers that resolve a whole measurement round at
-    once; every algorithm hashes each message on the scalar path. *)
+(** One message on the scalar path of the chosen algorithm. This is the
+    only digest entry point: every measurement block, prover or verifier
+    side, is hashed by one call here (through [Ra_cache] when a cache is
+    configured). *)
 
 val hmac : hash -> key:Bytes.t -> Bytes.t -> Bytes.t
 (** HMAC for the SHA family; native keyed mode for the BLAKE2 family

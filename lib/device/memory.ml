@@ -57,10 +57,6 @@ let with_block t block f =
   check_block t block;
   f t.data.(block)
 
-let with_blocks t blocks f =
-  Array.iter (check_block t) blocks;
-  f (Array.map (fun block -> t.data.(block)) blocks)
-
 let version t block =
   check_block t block;
   t.versions.(block)

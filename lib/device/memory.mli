@@ -27,13 +27,8 @@ val read_block : t -> int -> Bytes.t
 val with_block : t -> int -> (Bytes.t -> 'a) -> 'a
 (** Zero-copy read: [f] is applied to the block's live storage. [f] must
     not mutate the bytes or retain them past its return — use
-    {!read_block} when a lasting copy is needed. *)
-
-val with_blocks : t -> int array -> (Bytes.t array -> 'a) -> 'a
-(** Zero-copy batch read: [f] is applied to the live storage of every
-    listed block (same order). Same contract as {!with_block} — no
-    mutation, no retention. This is what lets a whole measurement round
-    feed the batch digest pipeline without copying each block. *)
+    {!read_block} when a lasting copy is needed. Measurement digests
+    borrow their block this way, one block per call. *)
 
 val version : t -> int -> int
 (** Monotonically-increasing per-block version counter, starting at 0.

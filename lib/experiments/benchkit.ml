@@ -151,7 +151,6 @@ let fleet_metrics ?jobs () =
     count_metric ~name:"fleet_cache_hits" warm.Fleet.cache_hits;
     count_metric ~name:"fleet_store_hits" roll.Fleet.store_hits;
     count_metric ~name:"fleet_blocks_hashed" roll.Fleet.hashed;
-    count_metric ~name:"fleet_batch_hashed" roll.Fleet.batch_hashed;
     count_metric ~name:"fleet_distinct_blocks" roll.Fleet.distinct_blocks;
     count_metric ~name:"fleet_warm_tampered" (List.length warm.Fleet.tampered);
     count_metric ~name:"fleet_store_stripes"

@@ -136,9 +136,9 @@ let render r =
     | id :: _ -> Printf.sprintf ", first: %s" id);
   p
     "  digest cache: %d requests, %d memo hits, %d store hits, %d hashed (%d \
-     batched, %d distinct blocks) — hit rate %.2f%%"
+     distinct blocks) — hit rate %.2f%%"
     roll.Fleet.digest_requests roll.Fleet.cache_hits roll.Fleet.store_hits
-    roll.Fleet.hashed roll.Fleet.batch_hashed roll.Fleet.distinct_blocks
+    roll.Fleet.hashed roll.Fleet.distinct_blocks
     (100. *. Fleet.hit_rate roll);
   p "  fleet root: %s" (Ra_crypto.Bytesutil.to_hex roll.Fleet.fleet_root);
   let acct =

@@ -82,7 +82,7 @@ module Mem = struct
   type op = Set of Bytes.t | Append of Bytes.t
 
   type entry = {
-    mutable synced : Bytes.t option;  (* None: absent in the durable state *)
+    mutable synced : Buffer.t option;  (* None: absent in the durable state *)
     mutable ops : op list;  (* newest first *)
   }
 
@@ -127,7 +127,7 @@ module Mem = struct
             match cur with
             | None -> Some (Bytes.copy b)
             | Some c -> Some (Bytes.cat c b)))
-      (Option.map Bytes.copy e.synced)
+      (Option.map Buffer.to_bytes e.synced)
       (List.rev e.ops)
 
   let exists e = view e <> None
@@ -136,16 +136,12 @@ module Mem = struct
 
   (* Resolve one file's unsynced ops under the fault mix. An op after a
      dropped or torn one never lands: the write queue was cut there.
-     One growable buffer, not Bytes.cat per op — a WAL commit must cost
-     the batch, not the whole file so far. *)
+     The synced buffer grows in place, not Bytes.cat per op nor a copy
+     per sync — a WAL commit must cost the batch, not the whole file so
+     far. *)
   let resolve ?(faults = no_faults) ?rng e =
-    let buf = Buffer.create 256 in
-    let present = ref false in
-    (match e.synced with
-    | Some b ->
-        Buffer.add_bytes buf b;
-        present := true
-    | None -> ());
+    let buf = Option.value e.synced ~default:(Buffer.create 256) in
+    let present = ref (Option.is_some e.synced) in
     (* start of the appended-since-last-Set region (duplicate_tail only
        replays bytes from the unsynced appended suffix) *)
     let app_start = ref (Buffer.length buf) in
@@ -186,7 +182,7 @@ module Mem = struct
         let start = Ra_sim.Prng.int rng ~bound:n in
         Buffer.add_string buf (String.sub tail start (n - start))
     | _ -> ());
-    e.synced <- (if !present then Some (Buffer.to_bytes buf) else None);
+    e.synced <- (if !present then Some buf else None);
     e.ops <- []
 
   let disk st =
@@ -251,10 +247,10 @@ module Mem = struct
       (List.rev st.pending);
     st.pending <- [];
     (* files that never became durable are gone *)
-    st.files <- List.filter (fun (_, e) -> e.synced <> None) st.files
+    st.files <- List.filter (fun (_, e) -> Option.is_some e.synced) st.files
 
   let synced_length st name =
     match List.assoc_opt name st.files with
-    | Some { synced = Some b; _ } -> Bytes.length b
+    | Some { synced = Some b; _ } -> Buffer.length b
     | _ -> 0
 end

@@ -81,10 +81,10 @@ let lock_class ~file arg =
 let crypto_kernel_modules =
   [ "Algo"; "Sha256"; "Sha512"; "Blake2b"; "Blake2s"; "Checked" ]
 
-let kernel_names = [ "digest"; "digest_many"; "digest_bytes" ]
+let kernel_names = [ "digest"; "digest_bytes" ]
 
 (* A call that actually hashes bytes: resolved into lib/crypto, or (for
-   unresolved fixtures) a token like Algo.digest_many. *)
+   unresolved fixtures) a token like Algo.digest. *)
 let is_digest_kernel ~resolved expanded =
   match resolved with
   | Some (g : Callgraph.func) ->

@@ -191,45 +191,26 @@ let submit t ~device ~seq report =
         t.accepted <- t.accepted + 1;
         Wire.Ack { device; seq }
 
-(* Drain the accepted queue through verification. Batch items are grouped
-   by device and the groups verified on the domain pool (World.verify
-   builds a fresh verifier view for every report); results are folded
-   back in dequeue order, so verdict-table updates — and every counter —
-   are bit-identical for any [jobs]. *)
+(* Drain the accepted queue through verification. Every dequeued report
+   is verified on the domain pool (World.verify builds a fresh verifier
+   view for each) and the results are folded back in dequeue order, so
+   verdict-table updates — and every counter — are bit-identical for any
+   [jobs]. *)
 let drain ?jobs t =
   let n = Queue.length t.queue in
-  if n = 0 then 0
-  else begin
+  if n > 0 then begin
     let batch = Array.init n (fun _ -> Queue.pop t.queue) in
-    let groups = Hashtbl.create 64 in
-    let order = ref [] in
-    Array.iter
-      (fun (device, seq, report) ->
-        match Hashtbl.find_opt groups device with
-        | Some items -> items := (seq, report) :: !items
-        | None ->
-            Hashtbl.replace groups device (ref [ (seq, report) ]);
-            order := device :: !order)
-      batch;
-    let order = Array.of_list (List.rev !order) in
     let verified =
       Ra_parallel.parallel_map ?jobs
-        (fun device ->
-          let items = List.rev !(Hashtbl.find groups device) in
-          List.map
-            (fun (seq, report) ->
-              (seq, World.verify t.world ~device report))
-            items)
-        order
+        (fun (device, _, report) -> World.verify t.world ~device report)
+        batch
     in
-    Array.iteri
-      (fun gi device ->
-        List.iter
-          (fun (seq, (verdict, mac)) -> World.record t.world ~device ~seq verdict mac)
-          verified.(gi))
-      order;
-    n
-  end
+    Array.iter2
+      (fun (device, seq, _) (verdict, mac) ->
+        World.record t.world ~device ~seq verdict mac)
+      batch verified
+  end;
+  n
 
 let handle ?jobs t request =
   match request with

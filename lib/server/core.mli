@@ -49,7 +49,7 @@ val handle : ?jobs:int -> t -> Wire.request -> Wire.response
 val drain : ?jobs:int -> t -> int
 (** Verify everything queued and fold the verdicts into the world;
     returns the number of reports processed. Verification fans out over
-    the domain pool grouped by device, and results apply in dequeue
+    the domain pool one report per item, and results apply in dequeue
     order — counters and root are bit-identical for any [jobs]. *)
 
 val pending : t -> int

@@ -41,7 +41,7 @@ let build ~devices ~seed =
   let roster =
     Array.init devices (fun i ->
         let id = device_id i in
-        ignore (Fleet.provision fleet id ~config:device_config ());
+        Fleet.provision_virtual fleet id ~config:device_config ();
         id)
   in
   let index = Hashtbl.create (2 * devices) in

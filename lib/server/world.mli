@@ -22,7 +22,9 @@ val device_config : Ra_device.Device.config
     blocks, 1 MiB modeled). *)
 
 val build : devices:int -> seed:int -> t
-(** Provision the roster. Raises [Invalid_argument] when [devices < 1]. *)
+(** Enrol the roster by recipe ({!Ra_core.Fleet.provision_virtual}): no
+    simulator is built, and each verifier view comes from its entry's
+    config. Raises [Invalid_argument] when [devices < 1]. *)
 
 val fleet : t -> Fleet.t
 val devices : t -> int

@@ -87,14 +87,14 @@ let run config ~infected =
      root's expected value, so each distinct firmware is hashed once per
      round instead of once per side. *)
   let store = Ra_cache.Store.create () in
-  (* The clean expected digests for the whole swarm are gathered up front
-     through the store's batch entry point: one lock acquisition per
-     stripe for the round, each distinct firmware hashed once. Only an
-     infected node's own (tampered) measurement still probes singly. *)
+  (* The clean expected digests for the whole swarm are resolved up front,
+     each distinct firmware hashed once; an infected node's own (tampered)
+     measurement probes the store when it is taken. *)
   let clean_digests =
-    Array.map snd
-      (Ra_cache.Store.digest_many store Ra_crypto.Algo.SHA_256
-         (Array.init config.nodes (fun id -> node_firmware config ~infected:[] id)))
+    Array.init config.nodes (fun id ->
+        snd
+          (Ra_cache.Store.digest store Ra_crypto.Algo.SHA_256
+             (node_firmware config ~infected:[] id)))
   in
   let firmware_digest ~infected id =
     if List.mem id infected then

@@ -180,125 +180,40 @@ let test_cache_accounting () =
     (acc.Cost_model.modeled_ns_hit = 3. /. 4. *. acc.Cost_model.modeled_ns_total);
   check Alcotest.bool "total positive" true (acc.Cost_model.modeled_ns_total > 0.)
 
-(* --- batch entry points -------------------------------------------------- *)
-
-(* A small content pool forces in-batch duplicates — the case where batch
-   and sequential accounting could plausibly diverge. *)
-let batch_arbitrary =
-  let open QCheck.Gen in
-  let content =
-    map2 (fun tag len -> Bytes.make len (Char.chr (65 + tag))) (int_bound 4)
-      (int_bound 9)
-  in
-  QCheck.make
-    ~print:(fun l ->
-      String.concat ";"
-        (List.map (fun b -> Printf.sprintf "%S" (Bytes.to_string b)) l))
-    (list_size (0 -- 12) content)
-
-let prop_store_digest_many_replay =
-  QCheck.Test.make ~name:"Store.digest_many = sequential Store.digest replay"
-    ~count:200 batch_arbitrary (fun contents ->
-      let batch = Array.of_list contents in
-      let s_batch = Ra_cache.Store.create () in
-      let s_seq = Ra_cache.Store.create () in
-      (* pre-warm both stores with one element so the batch also sees real
-         table hits, not just in-batch duplicates *)
-      (match contents with
-      | first :: _ ->
-        ignore (Ra_cache.Store.digest s_batch hash first);
-        ignore (Ra_cache.Store.digest s_seq hash first)
-      | [] -> ());
-      let got = Ra_cache.Store.digest_many s_batch hash batch in
-      let want = Array.map (Ra_cache.Store.digest s_seq hash) batch in
-      got = want
-      && Ra_cache.Store.lookups s_batch = Ra_cache.Store.lookups s_seq
-      && Ra_cache.Store.computed s_batch = Ra_cache.Store.computed s_seq
-      && Ra_cache.Store.distinct_contents s_batch
-         = Ra_cache.Store.distinct_contents s_seq
-      && Ra_cache.Store.batched_computes s_batch
-         = Array.fold_left
-             (fun acc (hit, _) -> if hit then acc else acc + 1)
-             0 got)
-
-let test_block_digest_many_replay () =
-  let batch_cache = Ra_cache.create ~store:(Ra_cache.Store.create ()) () in
-  let seq_cache = Ra_cache.create ~store:(Ra_cache.Store.create ()) () in
-  let contents r =
-    Array.init blocks (fun b ->
-        Bytes.make 16 (Char.chr (if r = 1 && b = 2 then 90 else 65 + b)))
-  in
-  let versions r = Array.init blocks (fun b -> if r = 1 && b = 2 then 1 else 0) in
-  let round r =
-    let contents = contents r and versions = versions r in
-    let got =
-      Ra_cache.block_digest_many batch_cache hash ~blocks:order ~versions
-        contents
-    in
-    let want =
-      Array.mapi
-        (fun i b ->
-          Ra_cache.block_digest seq_cache hash ~block:b ~version:versions.(i)
-            contents.(i))
-        order
-    in
-    check (Alcotest.array Alcotest.bytes) "round digests" want got
-  in
-  (* round 0 is all misses; repeating it is all memo hits; round 1 bumps
-     one block's version and content — a single store miss *)
-  round 0;
-  round 0;
-  round 1;
-  let sb = Ra_cache.stats batch_cache and ss = Ra_cache.stats seq_cache in
-  check Alcotest.int "memo hits" ss.Ra_cache.hits sb.Ra_cache.hits;
-  check Alcotest.int "store hits" ss.Ra_cache.store_hits sb.Ra_cache.store_hits;
-  check Alcotest.int "misses" ss.Ra_cache.misses sb.Ra_cache.misses;
-  let bstore = Option.get (Ra_cache.store batch_cache) in
-  let sstore = Option.get (Ra_cache.store seq_cache) in
-  check Alcotest.int "store lookups" (Ra_cache.Store.lookups sstore)
-    (Ra_cache.Store.lookups bstore);
-  check Alcotest.int "store computed" (Ra_cache.Store.computed sstore)
-    (Ra_cache.Store.computed bstore);
-  check Alcotest.int "everything computed was batched"
-    (Ra_cache.Store.computed bstore)
-    (Ra_cache.Store.batched_computes bstore)
+(* --- racing store probes ------------------------------------------------- *)
 
 let store_counters store =
   ( Ra_cache.Store.lookups store,
     Ra_cache.Store.computed store,
-    Ra_cache.Store.batched_computes store,
     Ra_cache.Store.distinct_contents store )
 
 let test_store_batch_jobs_invariant () =
-  (* Overlapping batches from racing domains: task i shares half its
+  (* Overlapping runs of probes from racing domains: task i shares half its
      contents with its neighbours, so under jobs > 1 the domains race to
-     compute the shared ones. The lock serializes whole batches, so WHO
-     computes is a race but every counter total is not. *)
+     compute the shared ones. The stripe lock serializes each probe, so
+     WHO computes is a race but every counter total is not. *)
   let run jobs =
     let store = Ra_cache.Store.create () in
     ignore
       (Ra_parallel.parallel_init ~jobs 8 (fun i ->
-           let batch =
-             Array.init 6 (fun k ->
-                 let j = ((i * 3) + k) mod 12 in
-                 Bytes.make (8 + j) (Char.chr (65 + j)))
-           in
-           Ra_cache.Store.digest_many store hash batch));
+           Array.init 6 (fun k ->
+               let j = ((i * 3) + k) mod 12 in
+               Ra_cache.Store.digest store hash
+                 (Bytes.make (8 + j) (Char.chr (65 + j))))));
     store_counters store
   in
-  let l1, c1, b1, d1 = run 1 in
-  check Alcotest.int "lookups = sum of batch sizes" (8 * 6) l1;
+  let l1, c1, d1 = run 1 in
+  check Alcotest.int "lookups = sum of run lengths" (8 * 6) l1;
   check Alcotest.int "computed = distinct contents" 12 c1;
-  check Alcotest.int "all computes batched" 12 b1;
   check Alcotest.int "distinct" 12 d1;
   check Alcotest.bool "store counters identical across jobs" true
-    ((l1, c1, b1, d1) = run 4)
+    ((l1, c1, d1) = run 4)
 
 (* --- striped store = flat store ------------------------------------------ *)
 
-(* Adversarial interleavings: racing domains submit overlapping batches
-   and single probes to a striped store and to a stripes:1 (single-mutex)
-   store. Striping only changes which lock guards which key, never what is
+(* Adversarial interleavings: racing domains submit overlapping runs of
+   probes to a striped store and to a stripes:1 (single-mutex) store.
+   Striping only changes which lock guards which key, never what is
    computed or counted, so results and every summed counter must match. *)
 let striped_ops_arbitrary =
   let open QCheck.Gen in
@@ -324,25 +239,15 @@ let prop_striped_equals_flat =
         let batches = Array.of_list (List.map Array.of_list batches) in
         let results =
           Ra_parallel.parallel_init ~jobs:3 (Array.length batches) (fun i ->
-              if i mod 2 = 0 then Ra_cache.Store.digest_many store hash batches.(i)
-              else Array.map (Ra_cache.Store.digest store hash) batches.(i))
+              Array.map (Ra_cache.Store.digest store hash) batches.(i))
         in
         (Array.map (Array.map snd) results, store_counters store)
       in
-      let digests_s, (lookups_s, computed_s, batched_s, distinct_s) =
-        run (Ra_cache.Store.create ~stripes:8 ())
-      in
-      let digests_f, (lookups_f, computed_f, batched_f, distinct_f) =
-        run (Ra_cache.Store.create ~stripes:1 ())
-      in
       (* Which racing task computes a shared fresh content first is
-         schedule-dependent, and so is whether that task was a [digest] or a
-         [digest_many] caller: [batched_computes] legitimately varies between
-         runs (test_store_batch_jobs_invariant gates it where every call is a
-         batch). The digests and the other counter totals do not. *)
-      digests_s = digests_f && lookups_s = lookups_f && computed_s = computed_f
-      && distinct_s = distinct_f && batched_s <= computed_s
-      && batched_f <= computed_f)
+         schedule-dependent (so are the per-probe hit flags); the digests
+         and the counter totals are not. *)
+      run (Ra_cache.Store.create ~stripes:8 ())
+      = run (Ra_cache.Store.create ~stripes:1 ()))
 
 let test_stripe_rounding () =
   check Alcotest.int "default" 16 (Ra_cache.Store.stripes (Ra_cache.Store.create ()));
@@ -374,10 +279,6 @@ let test_roll_call_jobs_invariant () =
   check Alcotest.int "requests add up" rc1.Fleet.digest_requests
     (rc1.Fleet.cache_hits + rc1.Fleet.store_hits + rc1.Fleet.hashed);
   check Alcotest.bool "sharing happened" true (rc1.Fleet.store_hits > 0);
-  (* default measurement is atomic on both sides, so every computed digest
-     flowed through the store's batch entry point *)
-  check Alcotest.int "all hashing went through the batch entry point"
-    rc1.Fleet.hashed rc1.Fleet.batch_hashed;
   check Alcotest.bool "something was hashed" true (rc1.Fleet.hashed > 0);
   check Alcotest.bool "hit rate sane" true
     (Fleet.hit_rate rc1 > 0. && Fleet.hit_rate rc1 <= 1.)
@@ -390,7 +291,6 @@ let rc_signature rc =
       rc.Fleet.cache_hits,
       rc.Fleet.store_hits,
       rc.Fleet.hashed,
-      rc.Fleet.batch_hashed,
       rc.Fleet.distinct_blocks ),
     rc.Fleet.fleet_root )
 
@@ -556,9 +456,6 @@ let () =
         ] );
       ( "batch",
         [
-          qtest prop_store_digest_many_replay;
-          Alcotest.test_case "block_digest_many replays block_digest" `Quick
-            test_block_digest_many_replay;
           Alcotest.test_case "batch counters jobs-invariant" `Quick
             test_store_batch_jobs_invariant;
         ] );

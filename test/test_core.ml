@@ -301,7 +301,23 @@ let test_verifier_malformed_reports () =
   in
   let missing_copy = { report2 with Report.data_copy = [] } in
   check Alcotest.bool "missing data copy rejected" true
-    (Verifier.verify verifier2 missing_copy = Verifier.Tampered)
+    (Verifier.verify verifier2 missing_copy = Verifier.Tampered);
+  (* the copies are checked before any block is digested: code block 0
+     precedes data block 1 in the order, yet the store sees no lookup *)
+  let config2 = device2.Device.config in
+  let store = Ra_cache.Store.create () in
+  let stored =
+    Verifier.create ~store ~key:config2.Device.key
+      ~expected_image:
+        (Device.firmware_image ~seed:config2.Device.seed
+           ~size:(config2.Device.blocks * config2.Device.block_size))
+      ~block_size:config2.Device.block_size ~data_blocks:config2.Device.data_blocks
+      ~zero_data:false ()
+  in
+  check Alcotest.bool "missing data copy rejected (store-backed)" true
+    (Verifier.verify stored missing_copy = Verifier.Tampered);
+  check Alcotest.int "nothing digested before the copy check" 0
+    (Ra_cache.Store.lookups store)
 
 let test_verifier_data_blocks_accepted () =
   (* app-style churn in a data block is fine when the copy travels along *)

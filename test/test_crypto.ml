@@ -152,6 +152,9 @@ let equivalence_property name optimized checked =
           map2
             (fun blocks delta -> max 0 ((blocks * 64) + delta))
             (int_range 0 8) (int_range (-2) 2));
+        (* SHA-256's one-vs-two tail-block lengths: 55 bytes still fit the
+           length field in the last block, 56 push it into another *)
+        QCheck.Gen.oneofl [ 55; 56; 119; 120 ];
       ]
   in
   let arb =
@@ -171,51 +174,6 @@ let equivalence_tests =
     equivalence_property "BLAKE2b" Blake2b.digest Checked.blake2b;
     equivalence_property "BLAKE2s" Blake2s.digest Checked.blake2s;
   ]
-
-(* Batch path vs reference: ragged lengths biased to SHA-256's padding
-   boundaries (one vs two tail blocks at 55/56, block edges at 63–65,
-   127–129, 191/192), batch sizes covering 0, 1 and odd counts. *)
-let prop_digest_many_matches_checked =
-  let boundary_len =
-    QCheck.Gen.(
-      frequency
-        [
-          (3, 0 -- 300);
-          (2, oneofl [ 0; 1; 55; 56; 63; 64; 65; 119; 127; 128; 129; 191; 192 ]);
-        ])
-  in
-  let arb =
-    QCheck.make
-      ~print:(fun msgs ->
-        Printf.sprintf "[%s]"
-          (String.concat "; " (List.map string_of_int msgs)))
-      QCheck.Gen.(0 -- 9 >>= fun n -> list_size (return n) boundary_len)
-  in
-  QCheck.Test.make ~name:"digest_many = map Checked"
-    ~count:300 arb (fun lens ->
-      let msgs =
-        Array.of_list
-          (List.mapi
-             (fun i len ->
-               Bytes.init len (fun j -> Char.chr ((i + (j * 131)) land 0xFF)))
-             lens)
-      in
-      let reference = Array.map Checked.sha256 msgs in
-      let got = Algo.digest_many Algo.SHA_256 msgs in
-      Array.length got = Array.length reference
-      && Array.for_all2 Bytes.equal got reference)
-
-let prop_algo_digest_many =
-  QCheck.Test.make ~name:"Algo.digest_many = map Algo.digest" ~count:60
-    QCheck.(list_of_size Gen.(0 -- 6) (string_of_size Gen.(0 -- 200)))
-    (fun inputs ->
-      let msgs = Array.of_list (List.map Bytes.of_string inputs) in
-      List.for_all
-        (fun h ->
-          Array.for_all2 Bytes.equal
-            (Algo.digest_many h msgs)
-            (Array.map (Algo.digest h) msgs))
-        Algo.all_hashes)
 
 (* cross-check: this test IS the cross-check — unsafe_load* diffed against
    the bounds-checked load* on every offset *)
@@ -469,11 +427,6 @@ let () =
       ( "optimized vs checked",
         Alcotest.test_case "unsafe loads" `Quick test_unsafe_load_matches_checked
         :: List.map qtest equivalence_tests );
-      ( "batch digest",
-        [
-          qtest prop_digest_many_matches_checked;
-          qtest prop_algo_digest_many;
-        ] );
       ( "incremental",
         [
           qtest (incremental_property (module Sha256));

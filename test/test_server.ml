@@ -111,6 +111,31 @@ let test_undecodable_submit_rejected () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "recovery after a junk submit: %s" e
 
+(* The byte identity e2ebench's ingest-burst workload ends on (seed 1,
+   4096 devices, six 2 s rounds in its 12 s run): every report of that
+   plan, acknowledged by one Core, folds to this fleet root whatever the
+   drain schedule, because the table keeps each device's highest seq. *)
+let test_ingest_burst_root () =
+  let devices = 4096 and seed = 1 in
+  let plan = Loadgen.plan ~devices ~seed ~reports_per_device:6 in
+  let core =
+    Core.create
+      ~config:{ Core.devices; seed; capacity = 24_576 }
+      (Disk.Mem.disk (Disk.Mem.create ()))
+  in
+  Array.iter
+    (fun { Loadgen.device; seq; report } ->
+      match Core.handle ~jobs:1 core (Wire.Submit { device; seq; report }) with
+      | Wire.Ack _ -> ()
+      | r ->
+          Alcotest.failf "%s#%d answered %s" device seq (Wire.response_to_string r))
+    plan;
+  match Core.handle ~jobs:1 core Wire.Fleet_root with
+  | Wire.Root root ->
+      check Alcotest.string "fleet root"
+        "aeb5daf20bda59ab383aa2969b25fe21390a9e634556d65546fd1c800e0dfcfa" (hex root)
+  | r -> Alcotest.failf "fleet root answered %s" (Wire.response_to_string r)
+
 (* --- session machines, no sockets ----------------------------------------- *)
 
 let sealed_response resp = Frame.seal_stream (Wire.encode_response resp)
@@ -496,6 +521,8 @@ let () =
         [
           Alcotest.test_case "undecodable submit rejected" `Quick
             test_undecodable_submit_rejected;
+          Alcotest.test_case "ingest-burst root (4096, seed 1)" `Slow
+            test_ingest_burst_root;
         ] );
       ( "sansio",
         [
