@@ -84,7 +84,7 @@ bench: build
 # Refresh the committed perf baselines (full-size buffers and budgets).
 # Run on an otherwise idle machine, then commit the BENCH_*.json diff.
 bench-json: build
-	dune exec bench/main.exe -- --json .
+	dune exec bin/ratool.exe -- bench --full --out .
 
 # Perf-regression gate, two passes over the same quick run:
 #   1. exact metrics (event/byte/hit counts) — deterministic on any host,

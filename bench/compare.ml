@@ -59,18 +59,19 @@ let () =
   let pairs = pairs files in
   if pairs = [] then begin
     prerr_endline
-      "usage: compare.exe [--tolerance T] BASELINE.json CURRENT.json [...]";
+      "usage: compare.exe [--tolerance T] [--only exact|wall] BASELINE.json \
+       CURRENT.json [...]";
     exit 2
   end;
-  let open Ra_experiments.Benchkit in
+  let module B = Ra_experiments.Benchkit in
   let keep m =
     match !only with
     | All -> true
-    | Exact_only -> m.exact
-    | Wall_only -> not m.exact
+    | Exact_only -> m.B.exact
+    | Wall_only -> not m.B.exact
   in
   let report, ok =
-    compare_all ~tolerance:!tolerance ~keep
+    B.compare_all ~tolerance:!tolerance ~keep
       (List.map
          (fun (baseline_file, current_file) ->
            ( Printf.sprintf "%s vs %s%s" baseline_file current_file
@@ -78,7 +79,7 @@ let () =
                | All -> ""
                | Exact_only -> " (exact metrics only)"
                | Wall_only -> " (wall metrics only)"),
-             fun () -> (read_file baseline_file, read_file current_file) ))
+             fun () -> (B.read_file baseline_file, B.read_file current_file) ))
          pairs)
   in
   print_string report;

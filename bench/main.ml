@@ -369,69 +369,18 @@ speed, carries the Fig. 2 ordering)\n"
       (65536. /. sha *. 1e9 /. 1e6)
   | _ -> print_endline "\nshape check: estimates unavailable"
 
-(* ------------------------------------------------------------------ *)
-(* --json mode: emit BENCH_crypto.json / BENCH_sim.json                *)
-(* ------------------------------------------------------------------ *)
-
-let emit_json ~quick dir =
-  let open Ra_experiments.Benchkit in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let crypto =
-    { suite = "crypto"; metrics = crypto_metrics ~quick () }
-  in
-  let sim = { suite = "sim"; metrics = sim_metrics ~quick () } in
-  List.iter
-    (fun (file, suite) ->
-      let path = Filename.concat dir file in
-      write_file path suite;
-      Printf.printf "wrote %s (%d metrics)\n" path (List.length suite.metrics))
-    [ ("BENCH_crypto.json", crypto); ("BENCH_sim.json", sim) ]
-
-let usage_text =
-  "usage: bench/main.exe [--json [DIR]] [--quick] [--jobs N]\n\
-   \  (no flags)      regenerate all tables/figures + Bechamel microbenches\n\
-   \  --json [DIR]    write BENCH_crypto.json and BENCH_sim.json to DIR (default .)\n\
-   \  --quick         shrink buffers/budgets for a fast smoke run\n\
-   \  --jobs N        domain count for the parallel experiment drivers\n\
-   \  --help          show this message"
-
-(* unknown flags: usage on stderr, non-zero exit — same contract as ratool *)
-let usage () =
-  prerr_endline usage_text;
-  exit 2
-
+(* No options: BENCH_*.json comes from `ratool bench`, which makes the
+   same Benchkit calls. RA_JOBS sets the experiment drivers' parallelism. *)
 let () =
-  let json_dir = ref None and quick = ref false in
-  let rec parse = function
-    | [] -> ()
-    | ("--help" | "-h" | "-help") :: _ ->
-      print_endline usage_text;
-      exit 0
-    | "--json" :: rest -> (
-      match rest with
-      | dir :: rest when String.length dir > 0 && dir.[0] <> '-' ->
-        json_dir := Some dir;
-        parse rest
-      | rest ->
-        json_dir := Some ".";
-        parse rest)
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
-    | "--jobs" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some jobs when jobs >= 1 ->
-        Ra_parallel.set_default_jobs jobs;
-        parse rest
-      | _ -> usage ())
-    | _ -> usage ()
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  match !json_dir with
-  | Some dir ->
-    emit_json ~quick:!quick dir;
+  let usage = "usage: bench/main.exe  (no options; RA_JOBS=N sets the parallelism)" in
+  match List.tl (Array.to_list Sys.argv) with
+  | [] -> ()
+  | [ "--help" ] ->
+    print_endline usage;
     exit 0
-  | None -> ()
+  | _ ->
+    prerr_endline usage;
+    exit 2
 
 let () =
   timed "fig1" regenerate_fig1;

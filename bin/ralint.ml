@@ -1,8 +1,10 @@
 (* ralint — run the Ra_lint rule families (DESIGN.md §10, §14) over the
    repo's own sources and gate against the committed ratchet baseline.
 
-   Two passes share one file walk: the per-file rules (D/P/U/I), then the
+   Two passes share one file walk: the per-file rules (D/P/U/I1), then the
    interprocedural program analysis (L/O/C) over every file that parsed.
+   Rule I2 (unused exports) reads the whole tree, e2ebench included,
+   whatever paths are given, and reports on the lib interfaces among them.
 
    Exit status: 0 when every finding is covered by the baseline, 1 when a
    new finding (or a parse failure) appears. Stale baseline entries are
@@ -50,31 +52,6 @@ let spec =
     ("--root", Arg.Set_string root, "DIR repository root (default .)");
   ]
 
-let read_text path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-(* Repo-relative .ml files under [paths], sorted for stable reports. *)
-let collect_ml_files ~root paths =
-  let skip name = name = "_build" || name = ".git" || name = "_opam" in
-  let out = ref [] in
-  let rec walk rel =
-    let full = Filename.concat root rel in
-    if Sys.is_directory full then
-      Array.iter
-        (fun name ->
-          if not (skip name) then
-            walk (if rel = "" then name else rel ^ "/" ^ name))
-        (Sys.readdir full)
-    else if Filename.check_suffix rel ".ml" then out := rel :: !out
-  in
-  List.iter
-    (fun p -> if Sys.file_exists (Filename.concat root p) then walk p)
-    paths;
-  List.sort compare !out
-
 (* The family/rule filter applies symmetrically to findings and baseline
    entries, so `--only L` shows the L slice of both sides of the diff. *)
 let keep_rule r =
@@ -99,8 +76,10 @@ let () =
       Ra_lint.p2_paths = Some (Ra_lint.Reach.parallel_reachable ~root);
     }
   in
-  let files = collect_ml_files ~root paths in
-  let sources = List.map (fun f -> (f, read_text (Filename.concat root f))) files in
+  let files = Ra_lint.source_files ~root ~suffix:".ml" paths in
+  let sources =
+    List.map (fun f -> (f, Ra_lint.read_text (Filename.concat root f))) files
+  in
   let per_file =
     List.concat_map
       (fun (file, source) ->
@@ -138,7 +117,9 @@ let () =
   let findings =
     List.filter
       (fun (f : Ra_lint.finding) -> keep_rule f.rule)
-      (per_file @ Ra_lint.Program.analyze ~config program)
+      (per_file
+      @ Ra_lint.Program.analyze ~config program
+      @ Ra_lint.unused_exports ~config ~root paths)
   in
   let baseline_file =
     if Filename.is_relative !baseline_path then Filename.concat root !baseline_path
@@ -158,7 +139,7 @@ let () =
       try
         List.filter
           (fun (b : Ra_lint.baseline_entry) -> keep_rule b.b_rule)
-          (Ra_lint.baseline_of_json (read_text baseline_file))
+          (Ra_lint.baseline_of_json (Ra_lint.read_text baseline_file))
       with Ra_experiments.Benchkit.Parse_error msg ->
         Printf.eprintf "ralint: malformed baseline %s: %s\n" !baseline_path msg;
         exit 2

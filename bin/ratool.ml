@@ -903,7 +903,7 @@ let replay_cmd =
 
 (* --- bench ------------------------------------------------------------------ *)
 
-let run_bench () full out_dir against tolerance =
+let run_bench () full out_dir =
   let quick = not full in
   let suites =
     [
@@ -913,7 +913,7 @@ let run_bench () full out_dir against tolerance =
        { Benchkit.suite = "sim"; metrics = Benchkit.sim_metrics ~quick () });
     ]
   in
-  (match out_dir with
+  match out_dir with
   | None ->
     List.iter (fun (_, suite) -> print_string (Benchkit.to_json suite)) suites
   | Some dir ->
@@ -923,25 +923,12 @@ let run_bench () full out_dir against tolerance =
         let path = Filename.concat dir file in
         Benchkit.write_file path suite;
         Printf.printf "wrote %s\n" path)
-      suites);
-  match against with
-  | None -> `Ok ()
-  | Some dir ->
-    let report, ok =
-      Benchkit.compare_all ~tolerance ~keep:(fun _ -> true)
-        (List.map
-           (fun (file, current) ->
-             let path = Filename.concat dir file in
-             ("current run vs " ^ path, fun () -> (Benchkit.read_file path, current)))
-           suites)
-    in
-    print_string report;
-    if ok then `Ok () else `Error (false, "benchmark regression beyond tolerance")
+      suites
 
 let bench_cmd =
   let doc =
     "Quick perf metrics (hash MB/s, engine events/s, experiment wall-times) \
-     as BENCH_*.json, optionally diffed against a committed baseline"
+     as BENCH_*.json; bench/compare.exe diffs them against a baseline"
   in
   let full_arg =
     Arg.(value & flag & info [ "full" ] ~doc:"Full-size buffers and budgets (slower, steadier).")
@@ -950,17 +937,8 @@ let bench_cmd =
     Arg.(value & opt (some string) None
          & info [ "out" ] ~docv:"DIR" ~doc:"Write BENCH_crypto.json and BENCH_sim.json to $(docv) instead of stdout.")
   in
-  let against_arg =
-    Arg.(value & opt (some string) None
-         & info [ "against" ] ~docv:"DIR" ~doc:"Compare against the baseline BENCH_*.json files in $(docv); non-zero exit on regression.")
-  in
-  let tolerance_arg =
-    Arg.(value & opt float 0.2
-         & info [ "tolerance" ] ~docv:"T" ~doc:"Allowed fractional slowdown before a metric counts as regressed (0.2 = 20%).")
-  in
   let info = Cmd.info "bench" ~doc in
-  Cmd.v info
-    Term.(ret (const run_bench $ jobs_term $ full_arg $ out_arg $ against_arg $ tolerance_arg))
+  Cmd.v info Term.(const run_bench $ jobs_term $ full_arg $ out_arg)
 
 (* --- all -------------------------------------------------------------------- *)
 

@@ -134,8 +134,6 @@ let create ?store () =
     stats = { hits = 0; store_hits = 0; misses = 0 };
   }
 
-let store t = t.store
-
 let stats t = t.stats
 
 let block_digest t algo ~block ~version content =
@@ -158,5 +156,3 @@ let block_digest t algo ~block ~version content =
     in
     Hashtbl.replace t.memo key (version, d);
     d
-
-let requests stats = stats.hits + stats.store_hits + stats.misses

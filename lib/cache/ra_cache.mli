@@ -69,8 +69,6 @@ type t
 
 val create : ?store:Store.t -> unit -> t
 
-val store : t -> Store.t option
-
 val stats : t -> stats
 (** Live counters (not a copy). *)
 
@@ -81,6 +79,3 @@ val block_digest : t -> Algo.hash -> block:int -> version:int -> Bytes.t -> Byte
     {!Ra_device.Memory.with_block}. The result is shared: do not mutate.
     Both measurement paths, interruptible and atomic, call it once per
     block in traversal order. *)
-
-val requests : stats -> int
-(** Total digest requests = hits + store_hits + misses. *)

@@ -9,9 +9,6 @@
 
 open Ra_sim
 
-val mac_at : Ra_device.Device.t -> Report.t -> time:Timebase.t -> Bytes.t
-(** Recompute the report's MAC over the journal-reconstructed image. *)
-
 val holds_at : Ra_device.Device.t -> Report.t -> time:Timebase.t -> bool
 
 val check_instants :

@@ -25,13 +25,13 @@ type t = {
    provisioned devices run the same release, which is exactly what makes
    the content-addressed store pay off — every clean device's blocks are
    already in it after the first measurement anywhere in the fleet. *)
-let create ?stripes ~master_secret () =
+let create ~master_secret () =
   let digest =
     Ra_crypto.Sha256.digest (Bytes.cat (Bytes.of_string "fleet firmware v1:") master_secret)
   in
   {
     master_secret;
-    store = Ra_cache.Store.create ?stripes ();
+    store = Ra_cache.Store.create ();
     firmware_seed = Ra_crypto.Bytesutil.load32_be digest 0;
     roster = [];
     ids = Hashtbl.create 64;

@@ -20,10 +20,9 @@ type t
 
 type device_id = string
 
-val create : ?stripes:int -> master_secret:Bytes.t -> unit -> t
-(** [stripes] sizes the shared digest store's lock striping (see
-    {!Ra_cache.Store.create}); the default suits tens of concurrent
-    domains. *)
+val create : master_secret:Bytes.t -> unit -> t
+(** The shared digest store takes {!Ra_cache.Store.create}'s default
+    striping, which suits tens of concurrent domains. *)
 
 val derive_key : t -> device_id -> Bytes.t
 (** The 32-byte per-device attestation key. Deterministic per (master,

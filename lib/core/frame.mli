@@ -30,16 +30,13 @@ val open_ : Bytes.t -> (Bytes.t, string) result
 
 val seal_stream : Bytes.t -> Bytes.t
 (** The length-prefixed stream encoding of one payload
-    ({!stream_overhead} bytes of framing). Raises [Invalid_argument]
+    (10 bytes of framing: magic, length, CRC). Raises [Invalid_argument]
     beyond {!max_payload}. *)
 
 val max_payload : int
 (** Upper bound on a stream frame's payload (1 MiB): a hostile or
     corrupted length field can never make a reader allocate more than
     this before the check fails. *)
-
-val stream_overhead : int
-(** Bytes of framing around a stream payload (magic + length + CRC = 10). *)
 
 (** Incremental reassembly of stream frames from arbitrary read chunks. *)
 module Reader : sig

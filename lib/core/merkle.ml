@@ -7,7 +7,6 @@ type t = {
   size : int; (* padded power-of-two leaf count *)
   real_leaves : int;
   nodes : Bytes.t array;
-  mutable digests : int;
 }
 
 (* ralint: allow P2 — domain-separation prefixes; only ever read (passed
@@ -15,15 +14,13 @@ type t = {
 let leaf_prefix = Bytes.of_string "\x00"
 let node_prefix = Bytes.of_string "\x01"
 
-let leaf_digest t ~index ~content =
-  t.digests <- t.digests + 1;
+let leaf_digest hash ~index ~content =
   let ib = Bytes.create 4 in
   Ra_crypto.Bytesutil.store32_be ib 0 index;
-  Ra_crypto.Algo.digest t.hash (Bytes.concat Bytes.empty [ leaf_prefix; ib; content ])
+  Ra_crypto.Algo.digest hash (Bytes.concat Bytes.empty [ leaf_prefix; ib; content ])
 
-let node_digest t left right =
-  t.digests <- t.digests + 1;
-  Ra_crypto.Algo.digest t.hash (Bytes.concat Bytes.empty [ node_prefix; left; right ])
+let node_digest hash left right =
+  Ra_crypto.Algo.digest hash (Bytes.concat Bytes.empty [ node_prefix; left; right ])
 
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (2 * k)
 
@@ -31,15 +28,13 @@ let build hash ~leaves =
   let real_leaves = Array.length leaves in
   if real_leaves = 0 then invalid_arg "Merkle.build: no leaves";
   let size = next_pow2 real_leaves 1 in
-  let t =
-    { hash; size; real_leaves; nodes = Array.make (2 * size) Bytes.empty; digests = 0 }
-  in
+  let t = { hash; size; real_leaves; nodes = Array.make (2 * size) Bytes.empty } in
   for i = 0 to size - 1 do
     let content = if i < real_leaves then leaves.(i) else Bytes.empty in
-    t.nodes.(size + i) <- leaf_digest t ~index:i ~content
+    t.nodes.(size + i) <- leaf_digest hash ~index:i ~content
   done;
   for i = size - 1 downto 1 do
-    t.nodes.(i) <- node_digest t t.nodes.(2 * i) t.nodes.((2 * i) + 1)
+    t.nodes.(i) <- node_digest hash t.nodes.(2 * i) t.nodes.((2 * i) + 1)
   done;
   t
 
@@ -51,17 +46,16 @@ let root_of_leaves hash ~leaves =
   let real_leaves = Array.length leaves in
   if real_leaves = 0 then invalid_arg "Merkle.root_of_leaves: no leaves";
   let size = next_pow2 real_leaves 1 in
-  let t = { hash; size; real_leaves; nodes = [||]; digests = 0 } in
   let level =
     Array.init size (fun i ->
         let content = if i < real_leaves then leaves.(i) else Bytes.empty in
-        leaf_digest t ~index:i ~content)
+        leaf_digest hash ~index:i ~content)
   in
   let width = ref size in
   while !width > 1 do
     let w = !width / 2 in
     for i = 0 to w - 1 do
-      level.(i) <- node_digest t level.(2 * i) level.((2 * i) + 1)
+      level.(i) <- node_digest hash level.(2 * i) level.((2 * i) + 1)
     done;
     width := w
   done;
@@ -83,10 +77,10 @@ let check_index t index =
 let update t ~index ~content =
   check_index t index;
   let node = ref (t.size + index) in
-  t.nodes.(!node) <- leaf_digest t ~index ~content;
+  t.nodes.(!node) <- leaf_digest t.hash ~index ~content;
   while !node > 1 do
     node := !node / 2;
-    t.nodes.(!node) <- node_digest t t.nodes.(2 * !node) t.nodes.((2 * !node) + 1)
+    t.nodes.(!node) <- node_digest t.hash t.nodes.(2 * !node) t.nodes.((2 * !node) + 1)
   done
 
 let proof t ~index =
@@ -101,21 +95,15 @@ let verify_proof hash ~root:expected ~index ~content ~leaf_count ~proof =
   if index < 0 || index >= leaf_count then false
   else begin
     let size = next_pow2 leaf_count 1 in
-    (* a throwaway counter-carrier for the digest helpers *)
-    let t =
-      { hash; size; real_leaves = leaf_count; nodes = [||]; digests = 0 }
-    in
     let rec climb node acc = function
       | [] -> node = 1 && Ra_crypto.Bytesutil.constant_time_equal acc expected
       | sibling :: rest ->
         let parent = node / 2 in
         let combined =
-          if node land 1 = 0 then node_digest t acc sibling
-          else node_digest t sibling acc
+          if node land 1 = 0 then node_digest hash acc sibling
+          else node_digest hash sibling acc
         in
         climb parent combined rest
     in
-    climb (size + index) (leaf_digest t ~index ~content) proof
+    climb (size + index) (leaf_digest hash ~index ~content) proof
   end
-
-let digests_performed t = t.digests

@@ -39,7 +39,3 @@ val verify_proof :
   proof:Bytes.t list ->
   bool
 (** Check that [content] at [index] is consistent with [root]. *)
-
-val digests_performed : t -> int
-(** Total leaf+node digests computed since construction — the cost counter
-    the incremental-attestation experiment charges to the cost model. *)

@@ -15,9 +15,3 @@ let worst_case_detection_delay t =
 
 let on_demand ~mp_duration ~request_period =
   { t_m = request_period; t_c = request_period; mp_duration }
-
-let pp fmt t =
-  Format.fprintf fmt "QoA(T_M=%s, T_C=%s, MP=%s)"
-    (Timebase.to_string t.t_m)
-    (Timebase.to_string t.t_c)
-    (Timebase.to_string t.mp_duration)

@@ -25,5 +25,3 @@ val worst_case_detection_delay : t -> Timebase.t
 
 val on_demand : mp_duration:Timebase.t -> request_period:Timebase.t -> t
 (** The conjoined on-demand case: measurement and collection coincide. *)
-
-val pp : Format.formatter -> t -> unit

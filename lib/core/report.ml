@@ -14,16 +14,6 @@ type t = {
   counter : int option;
 }
 
-let mac_hex t = Ra_crypto.Bytesutil.to_hex t.mac
-
-let pp fmt t =
-  Format.fprintf fmt "[%s/%s ts=%s te=%s tr=%s mac=%s...]" t.scheme_name
-    (Ra_crypto.Algo.hash_name t.hash)
-    (Timebase.to_string t.t_start)
-    (Timebase.to_string t.t_end)
-    (Timebase.to_string t.t_release)
-    (String.sub (mac_hex t) 0 12)
-
 (* --- wire format --------------------------------------------------------- *)
 
 let magic = "RARPT1"

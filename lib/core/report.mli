@@ -19,11 +19,6 @@ type t = {
   counter : int option;  (** monotonic counter (self-measurement / SeED) *)
 }
 
-val pp : Format.formatter -> t -> unit
-(** One-line summary: scheme, window, MAC prefix. *)
-
-val mac_hex : t -> string
-
 (** {2 Wire format}
 
     Reports travel from prover to verifier; the binary encoding below is

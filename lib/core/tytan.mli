@@ -30,8 +30,6 @@ type hooks = {
   on_region_done : measured:process -> unit;
 }
 
-val null_hooks : hooks
-
 val run :
   Ra_device.Device.t ->
   config ->

@@ -8,8 +8,6 @@ val all_hashes : hash list
 
 val hash_name : hash -> string
 
-val hash_module : hash -> (module Digest_intf.S)
-
 val hash_of_name : string -> hash option
 (** Case-insensitive; accepts e.g. ["sha256"], ["SHA-256"], ["blake2b"]. *)
 

@@ -28,8 +28,3 @@ let update crc payload =
   !crc lxor 0xFFFFFFFF
 
 let digest payload = update 0 payload
-
-let to_bytes crc =
-  let b = Bytes.create 4 in
-  Bytesutil.store32_be b 0 crc;
-  b

@@ -12,6 +12,3 @@ val digest : Bytes.t -> int
 
 val update : int -> Bytes.t -> int
 (** Streaming form: [update (update 0 a) b = digest (a ^ b)]. *)
-
-val to_bytes : int -> Bytes.t
-(** Big-endian 4-byte encoding. *)

@@ -122,8 +122,6 @@ let hash_time_raw t hash ~bytes =
 
 let sign_time t alg = round_ns (t.sign_ns alg)
 
-let verify_time t alg = round_ns (t.verify_ns alg)
-
 let measurement_time t hash ?signature ~bytes () =
   let base = hash_time t hash ~bytes in
   match signature with

@@ -51,8 +51,6 @@ val hash_time_raw : t -> Ra_crypto.Algo.hash -> bytes:int -> Timebase.t
 
 val sign_time : t -> signature_alg -> Timebase.t
 
-val verify_time : t -> signature_alg -> Timebase.t
-
 val measurement_time :
   t -> Ra_crypto.Algo.hash -> ?signature:signature_alg -> bytes:int -> unit -> Timebase.t
 (** Full MP cost: hash of [bytes], plus the signature when present (MAC-only

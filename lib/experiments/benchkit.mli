@@ -21,9 +21,6 @@ type metric = {
 
 type suite = { suite : string; metrics : metric list }
 
-val wall : (unit -> 'a) -> 'a * float
-(** Result of the thunk and its wall-clock seconds. *)
-
 val crypto_metrics : ?quick:bool -> unit -> metric list
 (** MB/s of the four hashes plus HMAC-SHA-256 over a pseudo-random buffer.
     [quick] shrinks the buffer and timing budget for smoke runs. *)
@@ -31,48 +28,8 @@ val crypto_metrics : ?quick:bool -> unit -> metric list
 val sim_metrics : ?quick:bool -> ?jobs:int -> unit -> metric list
 (** Engine events/s plus wall-times of the Table 1, chaos, SMARM-game and
     detection-rate drivers ([jobs] is forwarded to the parallel ports),
-    followed by {!fleet_metrics}, {!fleet_sharded_metrics},
-    {!fleet_million_metrics} (full mode only), {!supervisor_metrics},
-    {!erasmus_metrics} and {!journal_metrics}. *)
-
-val fleet_metrics : ?jobs:int -> unit -> metric list
-(** 1000-device shared-firmware roll call: cold wall time plus exact
-    verdict and cache counters, then a second {e warm} roll call over the
-    unchanged fleet whose memo hits back the [fleet_cache_hits] exact
-    metric (zero on a cold pass by construction; a real gate on the warm
-    one). Same size in quick and full mode so the exact metrics reproduce
-    everywhere. *)
-
-val fleet_sharded_metrics : ?jobs:int -> unit -> metric list
-(** Sharded roll call over a 2.5-segment virtual roster: wall time, exact
-    shard/verdict counts, and [fleet_root_checks] — re-runs at other
-    (shards, jobs) points whose fleet Merkle root and counters matched the
-    reference, gated exactly. Same size in quick and full mode. *)
-
-val fleet_million_metrics : ?jobs:int -> unit -> metric list
-(** Million-device sharded roll call via {!Fleet_roll}: wall-clock only
-    (roll seconds, devices/s, provision seconds), never exact — quick
-    smoke runs skip it, and exact counters at this scale are covered by
-    the CI [ratool fleet --check-jobs] gate instead. *)
-
-val supervisor_metrics : ?jobs:int -> unit -> metric list
-(** 120-device fleet-chaos convergence under the health supervisor: wall
-    time plus exact convergence counters (rounds, terminal states,
-    detections, remediations, session totals). Same size in quick and
-    full mode so the exact metrics reproduce everywhere. *)
-
-val erasmus_metrics : unit -> metric list
-(** ERASMUS, 10 self-measurement rounds with <1% of blocks written
-    between rounds, with the digest cache off and on: wall times, the
-    cached speedup, and exact hit/miss counts. *)
-
-val journal_metrics : unit -> metric list
-(** Write-ahead journal throughput over the in-memory disk: append+commit
-    records/s, replay (recover + verify every record) events/s, plus exact
-    recovered-record and torn-tail-detection counts — every run leaves a
-    torn half-record on the WAL tail so the truncating scan is always
-    exercised. Same size in quick and full mode so the exact metrics
-    reproduce everywhere. *)
+    followed by the fleet, sharded-fleet, million-device (full mode only),
+    supervisor, ERASMUS and journal metric groups. *)
 
 val to_json : suite -> string
 
@@ -101,35 +58,13 @@ val read_file : string -> suite
 (** Parse a file written by {!write_file}. Raises {!Parse_error} (or
     [Sys_error]) on malformed input. *)
 
-type verdict = Ok_within_tolerance | Regression | Missing_in_current
-
-type comparison = {
-  metric : string;
-  baseline : float;
-  current : float option;
-  ratio : float option;  (** current / baseline *)
-  verdict : verdict;
-}
-
-val compare_suites :
-  tolerance:float -> baseline:suite -> current:suite -> comparison list
-(** One entry per baseline metric. A metric regresses when it moves against
-    its direction by more than [tolerance] (e.g. 0.2 = 20%). Metrics only
-    present in the current run are ignored; metrics missing from the
-    current run are verdicted {!Missing_in_current}. *)
-
-val render_comparison :
-  tolerance:float -> comparison list -> string * bool
-(** Human-readable table plus [true] iff every verdict is
-    {!Ok_within_tolerance}. *)
-
 val compare_all :
   tolerance:float ->
   keep:(metric -> bool) ->
   (string * (unit -> suite * suite)) list ->
   string * bool
-(** The comparison loop behind [bench/compare.exe] and [ratool bench
-    --against]: for each [(label, load)] pair, [load ()] gives the
+(** The comparison loop behind [bench/compare.exe], the repo's one
+    comparer: for each [(label, load)] pair, [load ()] gives the
     (baseline, current) suites — a {!Parse_error} or [Sys_error] it raises
     fails that pair — and the baseline metrics [keep] selects are
     compared and rendered under a "== suite: label" header.

@@ -11,8 +11,6 @@ type mode =
   | Measure_on_request  (** naive prover: every request triggers a full MP *)
   | Non_interactive  (** SeED: incoming requests are ignored *)
 
-val mode_name : mode -> string
-
 type result = {
   mode : mode;
   request_rate : float;  (** bogus requests per second *)
@@ -52,8 +50,5 @@ type duplicate_result = {
   dup_replies : int;  (** reply copies the verifier threw away *)
   rp_measurements : int;
 }
-
-val run_duplicates :
-  ?seed:int -> duplicate:float -> loss:float -> unit -> duplicate_result
 
 val render_duplicates : ?seed:int -> unit -> string

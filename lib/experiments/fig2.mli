@@ -2,17 +2,6 @@
     the (modeled) ODROID-XU4 across memory sizes, plus the Section 2.4
     hash-vs-signature crossover (E8). *)
 
-val sizes : int list
-(** 1 KB to 2 GB, decade steps plus the 2 GB endpoint. *)
-
-val size_label : int -> string
-
-val hash_series : Ra_device.Cost_model.t -> (string * (string * string) list) list
-(** One series per hash: (size label, seconds) points. *)
-
-val signature_series : Ra_device.Cost_model.t -> (string * (string * string) list) list
-(** One series per signature: total MP time = SHA-256 hashing + signing. *)
-
 val render : Ra_device.Cost_model.t -> string
 (** The full Fig. 2 table: hash series and signature series. *)
 

@@ -24,6 +24,4 @@ val run_scheme :
     blocks. The fire starts [fire_offset] (default 2 s) after the
     measurement begins. Attested size defaults to 1 GiB. *)
 
-val schemes : Scheme.t list
-
 val render : ?seed:int -> unit -> string

@@ -13,7 +13,7 @@
     - the fleet converges (no livelock) within the round budget;
     - every device ends [Healthy] or [Quarantined] with a recorded reason;
     - every infected device is detected within the QoA bound
-      ({!qoa_bound_rounds} supervision rounds), remediated and re-admitted;
+      (3 supervision rounds), remediated and re-admitted;
     - no benign device is ever detected as tampered;
     - every recorded health transition is a declared edge;
 
@@ -29,14 +29,6 @@ type kind =
   | Partition_forever
   | Crash_loop
   | Crash_burst
-
-val kind_of_index : int -> kind
-(** The deterministic fault schedule: [i mod 10]. *)
-
-val kind_to_string : kind -> string
-
-val qoa_bound_rounds : int
-(** Detection deadline for an infected device, in supervision rounds. *)
 
 type result = {
   devices : int;

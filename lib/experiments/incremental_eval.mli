@@ -6,9 +6,4 @@ val churn_table : ?blocks:int -> ?attested_bytes:int -> unit -> string
 (** Model cost of one incremental round vs the full measurement across
     dirty-block counts, with speedups. Defaults: 1024 blocks, 1 GiB. *)
 
-val live_validation : ?seed:int -> unit -> string
-(** Full-stack check: run the service on a device, dirty a few blocks, and
-    compare the measured round duration against the model; also confirm
-    clean/tampered verdicts. *)
-
 val render : ?seed:int -> unit -> string

@@ -223,15 +223,3 @@ let render ?jobs ?trials ?seed () =
           "run-time overhead";
         ]
       cells
-
-let paper_expectations =
-  [
-    ("SMART", true, true);
-    ("No-Lock", false, false);
-    ("All-Lock", true, true);
-    ("Dec-Lock", true, true);
-    ("Inc-Lock", true, false);
-    ("SMARM", true, false);
-    ("Cpy-Lock", true, true);
-    ("ERASMUS", true, true);
-  ]

@@ -31,7 +31,3 @@ val compute : ?jobs:int -> ?trials:int -> ?seed:int -> unit -> row list
     identical for every [jobs] value. *)
 
 val render : ?jobs:int -> ?trials:int -> ?seed:int -> unit -> string
-
-val paper_expectations : (string * bool * bool) list
-(** (scheme, detects self-relocating, detects transient) as printed in
-    Table 1 of the paper — used by the test suite. *)

@@ -45,7 +45,3 @@ let draw rng config ~len =
   else if p_tear < config.tear && len > 1 then Tear cut
   else if p_stall < config.stall then Stall (max 1 config.stall_steps)
   else Deliver
-
-let describe c =
-  Printf.sprintf "tear=%.2f stall=%.2f(%d steps) reset=%.2f corrupt=%.2f"
-    c.tear c.stall c.stall_steps c.reset c.corrupt

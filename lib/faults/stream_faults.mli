@@ -46,6 +46,3 @@ val draw : Prng.t -> config -> len:int -> action
     fixed number of PRNG draws regardless of the outcome, so fault
     schedules are stable under config changes that only move
     probabilities. Raises [Invalid_argument] when [len = 0]. *)
-
-val describe : config -> string
-(** One line for chaos-trial logs. *)

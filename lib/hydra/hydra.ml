@@ -51,10 +51,6 @@ let build device ~apps =
   in
   { device; caps; apps; mp_priority; key_holders = [ mp_pid ]; denials = [] }
 
-let device t = t.device
-
-let capabilities t = t.caps
-
 let mp_priority t = t.mp_priority
 
 let deny t pid reason =

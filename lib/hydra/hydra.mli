@@ -28,10 +28,6 @@ val build : Ra_device.Device.t -> apps:app_region list -> t
 
 val mp_pid : Capability.pid
 
-val device : t -> Ra_device.Device.t
-
-val capabilities : t -> Capability.t
-
 val mp_priority : t -> int
 
 val read_key : t -> Capability.pid -> (Bytes.t, string) result

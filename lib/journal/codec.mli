@@ -32,8 +32,6 @@ val read_i64 : reader -> int
 val read_i64raw : reader -> int64
 val read_str : reader -> string
 val read_bytes : reader -> Bytes.t
-val at_end : reader -> bool
-
 val expect_end : reader -> unit
 (** Raises {!Corrupt} when unread bytes remain — decodes must consume
     their input exactly. *)

@@ -248,9 +248,4 @@ module Mem = struct
     st.pending <- [];
     (* files that never became durable are gone *)
     st.files <- List.filter (fun (_, e) -> Option.is_some e.synced) st.files
-
-  let synced_length st name =
-    match List.assoc_opt name st.files with
-    | Some { synced = Some b; _ } -> Buffer.length b
-    | _ -> 0
 end

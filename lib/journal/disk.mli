@@ -42,11 +42,6 @@ module Mem : sig
     undo_rename : float;  (** a rename not yet covered by [sync_dir] *)
   }
 
-  val no_faults : faults
-
-  val default_faults : faults
-  (** A harsh mix used by the qcheck crash properties. *)
-
   val create : unit -> store
   val disk : store -> t
 
@@ -56,8 +51,4 @@ module Mem : sig
       a write queue cut at an arbitrary point), then undo any
       not-yet-durable rename chosen by [undo_rename]. Deterministic for
       a given [rng] state. *)
-
-  val synced_length : store -> string -> int
-  (** Length the file would have after a fault-free crash — i.e. the
-      acknowledged (synced) byte count. 0 if absent. *)
 end

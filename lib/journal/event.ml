@@ -75,6 +75,4 @@ let missing e k ty =
 
 let geti e k = match find e k with Some (I n) -> n | _ -> missing e k "int"
 
-let gets e k = match find e k with Some (S s) -> s | _ -> missing e k "string"
-
 let getb e k = match find e k with Some (B b) -> b | _ -> missing e k "bytes"

@@ -32,5 +32,4 @@ val to_string : t -> string
 val find_i : t -> string -> int option
 val find_s : t -> string -> string option
 val geti : t -> string -> int
-val gets : t -> string -> string
 val getb : t -> string -> Bytes.t

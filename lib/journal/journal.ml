@@ -218,6 +218,3 @@ let verified t =
                  "replay stopped %d event(s) short of the recorded log (next: %s)"
                  (Array.length v.recorded - v.pos)
                  (Event.to_string v.recorded.(v.pos))))
-
-let position t =
-  match t with Record r -> r.next_seq - 1 | Verify v -> v.pos

@@ -90,6 +90,3 @@ val verifier : Event.t array -> t
 val verified : t -> (unit, string) result
 (** Verify mode: [Ok] iff every recorded event was re-emitted, in order,
     with no divergence and nothing left over. Record mode: always [Ok]. *)
-
-val position : t -> int
-(** Events appended (record mode) or matched (verify mode) so far. *)

@@ -10,20 +10,23 @@
 
 exception Parse_error of string * int (* message, line *)
 
-(* Parse one implementation file, returning the structure and the comment
+(* Parse one source file with [parser], returning the tree and the comment
    list the lexer accumulated alongside it. Compiler-libs keeps comment
    state globally, so this is not reentrant — parse one file at a time. *)
-let parse ~file source =
+let parse_with parser ~file source =
   Lexer.init ();
   let lexbuf = Lexing.from_string source in
   Location.init lexbuf file;
-  match Parse.implementation lexbuf with
-  | str -> (str, Lexer.comments ())
+  match parser lexbuf with
+  | tree -> (tree, Lexer.comments ())
   | exception Syntaxerr.Error err ->
     let loc = Syntaxerr.location_of_error err in
     raise (Parse_error ("syntax error", loc.loc_start.pos_lnum))
   | exception Lexer.Error (_, loc) ->
     raise (Parse_error ("lexer error", loc.loc_start.pos_lnum))
+
+let parse ~file source = parse_with Parse.implementation ~file source
+let parse_interface ~file source = parse_with Parse.interface ~file source
 
 type unit_info = {
   u_file : string;
@@ -224,8 +227,6 @@ let functions t =
   List.sort
     (fun a b -> compare a.qname b.qname)
     (Hashtbl.fold (fun _ f acc -> f :: acc) t.funcs [])
-
-let find t qname = Hashtbl.find_opt t.funcs qname
 
 (* The token a finding reports for a call or access site: the dotted
    source path as written (not alias-expanded), so fingerprints track what

@@ -28,6 +28,10 @@ type t
 val parse :
   file:string -> string -> Parsetree.structure * (string * Location.t) list
 
+(* The same for an interface file. *)
+val parse_interface :
+  file:string -> string -> Parsetree.signature * (string * Location.t) list
+
 val modname_of_file : string -> string
 val unit_of_source : file:string -> string -> unit_info
 val build : unit_info list -> t
@@ -37,7 +41,6 @@ val expand_alias : t -> scope:string list -> string list -> string list
 
 val resolve : t -> scope:string list -> string list -> func option
 val functions : t -> func list
-val find : t -> string -> func option
 val token_of_path : string list -> string
 
 (* The dotted path of an ident or field-access chain, if the expression

@@ -14,7 +14,8 @@
                        P2 module-level mutable state reachable from tasks
      U unsafe audit    U1 unsafe_* site without a (* bounds: ... *) comment,
                        U2 unsafe-using module without a (* cross-check: ... *)
-     I interface       I1 lib/**.ml without a matching .mli
+     I interface       I1 lib/**.ml without a matching .mli,
+                       I2 exported val no other file of the tree references
    Findings are syntactic and conservative; a human can waive a site with
    an in-source (* ralint: allow <RULE> — reason *) comment, or accept it
    into the committed ratchet baseline (LINT_BASELINE.json). *)
@@ -90,20 +91,43 @@ let starts_with ~prefix s =
 
 exception Lint_parse_error of string * int (* message, line *)
 
-(* Parse one implementation file, returning the structure and the comment
-   list the lexer accumulated alongside it. Compiler-libs keeps comment
-   state globally, so this is not reentrant — lint one file at a time. *)
+(* Not reentrant, like Callgraph.parse: lint one file at a time. *)
 let parse_with_comments ~file source =
-  Lexer.init ();
-  let lexbuf = Lexing.from_string source in
-  Location.init lexbuf file;
-  match Parse.implementation lexbuf with
-  | str -> (str, Lexer.comments ())
-  | exception Syntaxerr.Error err ->
-    let loc = Syntaxerr.location_of_error err in
-    raise (Lint_parse_error ("syntax error", loc.loc_start.pos_lnum))
-  | exception Lexer.Error (_, loc) ->
-    raise (Lint_parse_error ("lexer error", loc.loc_start.pos_lnum))
+  try Callgraph.parse ~file source
+  with Callgraph.Parse_error (msg, line) -> raise (Lint_parse_error (msg, line))
+
+let read_text path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let source_files ~root ~suffix paths =
+  let skip name = name = "_build" || name = ".git" || name = "_opam" in
+  let out = ref [] in
+  let rec walk rel =
+    let full = Filename.concat root rel in
+    if Sys.is_directory full then
+      Array.iter
+        (fun name ->
+          if not (skip name) then
+            walk (if rel = "" then name else Filename.concat rel name))
+        (Sys.readdir full)
+    else if Filename.check_suffix rel suffix then out := rel :: !out
+  in
+  (* repo-relative names as the allowlists and rule I2 spell them:
+     "." is the root, and "./lib" or "lib/" name lib *)
+  let relative p =
+    if p = "." || p = "./" then ""
+    else if String.starts_with ~prefix:"./" p then String.sub p 2 (String.length p - 2)
+    else p
+  in
+  List.iter
+    (fun p ->
+      let p = relative p in
+      if Sys.file_exists (Filename.concat root p) then walk p)
+    paths;
+  List.sort compare !out
 
 (* --- rule engine --------------------------------------------------------- *)
 
@@ -488,6 +512,46 @@ let check_interface ?(config = default_config) ~file ~mli_exists source =
         };
       ]
 
+(* I2: an exported val of lib/**.mli that no other file of the tree
+   references. The reference set is every implementation under
+   [reference_roots], whatever paths are linted: e2ebench is read as a
+   caller but never linted. Waivers sit on or just above the val. *)
+let reference_roots = [ "lib"; "bin"; "bench"; "examples"; "test"; "e2ebench" ]
+
+let unused_exports ?(config = default_config) ~root paths =
+  let read file = read_text (Filename.concat root file) in
+  let referenced =
+    Exports.referenced
+      (List.filter_map
+         (fun file ->
+           match Callgraph.unit_of_source ~file (read file) with
+           | u -> Some u
+           | exception Callgraph.Parse_error _ -> None)
+         (source_files ~root ~suffix:".ml" reference_roots))
+  in
+  List.concat_map
+    (fun file ->
+      match Callgraph.parse_interface ~file (read file) with
+      | exception Callgraph.Parse_error _ -> []
+      | sg, comments ->
+        let exports = Exports.exports sg in
+        let item_ranges = List.map (fun e -> loc_lines e.Exports.loc) exports in
+        List.filter (fun e -> not (referenced ~interface:file e)) exports
+        |> List.map (fun (e : Exports.export) ->
+               let token = String.concat "." e.path in
+               ( "I2",
+                 e.loc,
+                 token,
+                 Printf.sprintf
+                   "%s.%s is exported but no other file of lib, bin, bench, \
+                    examples, test or e2ebench references it: drop it from \
+                    the interface"
+                   (Callgraph.modname_of_file file) token ))
+        |> assign_fingerprints file
+        |> List.filter (fun f ->
+               not (suppressed ~reach:config.comment_reach ~comments ~item_ranges f)))
+    (List.filter (starts_with ~prefix:"lib/") (source_files ~root ~suffix:".mli" paths))
+
 (* --- baseline ratchet ---------------------------------------------------- *)
 
 type baseline_entry = { b_rule : string; b_file : string; b_fingerprint : string }
@@ -512,20 +576,20 @@ let baseline_to_json entries =
   Buffer.contents buf
 
 let baseline_of_json text =
-  let open Ra_experiments.Benchkit in
-  let fail msg = raise (Parse_error msg) in
-  let str = function J_string s -> s | _ -> fail "expected string" in
-  match parse_json text with
-  | J_object fields ->
+  let module B = Ra_experiments.Benchkit in
+  let fail msg = raise (B.Parse_error msg) in
+  let str = function B.J_string s -> s | _ -> fail "expected string" in
+  match B.parse_json text with
+  | B.J_object fields ->
     (match List.assoc_opt "schema" fields with
-    | Some (J_string s) when s = baseline_schema -> ()
-    | Some (J_string s) -> fail ("unknown baseline schema " ^ s)
+    | Some (B.J_string s) when s = baseline_schema -> ()
+    | Some (B.J_string s) -> fail ("unknown baseline schema " ^ s)
     | _ -> fail "baseline missing schema");
     (match List.assoc_opt "findings" fields with
-    | Some (J_array items) ->
+    | Some (B.J_array items) ->
       List.map
         (function
-          | J_object f ->
+          | B.J_object f ->
             let get k =
               match List.assoc_opt k f with
               | Some v -> str v
@@ -677,12 +741,6 @@ module Reach = struct
       text;
     flush ();
     List.rev !out
-
-  let read_text path =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
 
   (* (name, dir, deps) per library stanza found under [root]/lib/<d>/dune *)
   let libraries ~root =

@@ -15,7 +15,9 @@
       [(* bounds: ... *)] justification, U2 an unsafe-using module without
       a [(* cross-check: ... *)] naming its reference implementation.
     - {b I interface hygiene}: I1 [lib/**.ml] without a matching [.mli]
-      (module-type-only files exempt).
+      (module-type-only files exempt), I2 an exported [val] of a
+      [lib/**.mli] that no other file of the tree references
+      ({!unused_exports}).
 
     On top of the per-file walker, {!Program} runs a summary-based
     interprocedural analysis (DESIGN.md §14) with three more families:
@@ -86,8 +88,22 @@ val lint_source : ?config:config -> file:string -> string -> finding list
 
 val check_interface :
   ?config:config -> file:string -> mli_exists:bool -> string -> finding list
-(** Rule I for one [.ml] source: empty when [mli_exists], when the file is
+(** Rule I1 for one [.ml] source: empty when [mli_exists], when the file is
     allowlisted, or when the structure is module-type-only. *)
+
+val unused_exports : ?config:config -> root:string -> string list -> finding list
+(** Rule I2 for every [lib/**.mli] under the given paths of [root]: each
+    exported [val], submodule vals included, that no [.ml] of [lib],
+    [bin], [bench], [examples], [test] or [e2ebench] references outside
+    the interface's own unit. The reference set is always that whole
+    tree, whatever the paths. *)
+
+val source_files : root:string -> suffix:string -> string list -> string list
+(** Repo-relative files ending in [suffix] under the given paths of
+    [root], sorted ([_build], [.git] and [_opam] skipped). ["."] names
+    the root; ["lib/"] and ["./lib"] name the same files as ["lib"]. *)
+
+val read_text : string -> string
 
 (** {1 Baseline ratchet} *)
 

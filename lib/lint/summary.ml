@@ -81,7 +81,7 @@ let lock_class ~file arg =
 let crypto_kernel_modules =
   [ "Algo"; "Sha256"; "Sha512"; "Blake2b"; "Blake2s"; "Checked" ]
 
-let kernel_names = [ "digest"; "digest_bytes" ]
+let kernel_names = [ "digest" ]
 
 (* A call that actually hashes bytes: resolved into lib/crypto, or (for
    unresolved fixtures) a token like Algo.digest. *)

@@ -16,8 +16,6 @@ type options = {
       (* (file prefix, submodule): kernel digests must run under a lock *)
 }
 
-val default_options : options
-
 type jeff = J_id | J_appended | J_committed
 
 type info = {

@@ -10,8 +10,6 @@ type options = {
   secret_tag_paths : string list; (* where "tag" names a MAC tag *)
 }
 
-val default_options : options
-
 type tinfo = {
   fn : Callgraph.func;
   mutable ret_always : bool;

@@ -20,7 +20,6 @@ type curve = {
 type point = Infinity | Affine of Nat.t * Nat.t
 
 val secp160r1 : curve
-val secp224r1 : curve
 val secp256r1 : curve
 
 val all_curves : curve list

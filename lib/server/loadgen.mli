@@ -24,14 +24,8 @@ val by_device :
 (** The same items per device, in roster order, each device's in
     sequence order: what one client session submits. *)
 
-val is_tampered : int -> bool
-(** Whether roster index [i] is infected in every plan. *)
-
 val expected_tampered : devices:int -> int
 (** How many of the first [devices] roster entries are infected. *)
-
-val nonce : seed:int -> device:string -> seq:int -> Bytes.t
-(** The 16-byte challenge folded into item [(device, seq)]'s MAC. *)
 
 val submit_payload : item -> Bytes.t
 (** The item as an encoded {!Wire.Submit} request (not yet framed). *)

@@ -53,7 +53,6 @@ let build ~devices ~seed =
   { fleet; roster; index; entries }
 
 let fleet t = t.fleet
-let devices t = Array.length t.roster
 let known t id = Hashtbl.mem t.index id
 
 let verify t ~device report =

@@ -27,7 +27,6 @@ val build : devices:int -> seed:int -> t
     config. Raises [Invalid_argument] when [devices < 1]. *)
 
 val fleet : t -> Fleet.t
-val devices : t -> int
 val known : t -> string -> bool
 
 val verify : t -> device:string -> Report.t -> Verifier.verdict * Bytes.t

@@ -28,8 +28,6 @@ let now t = t.clock
 
 let prng t = t.prng
 
-let trace t = t.trace
-
 let record t ~tag detail = Trace.record t.trace ~time:t.clock ~tag detail
 
 let recordf t ~tag fmt = Trace.recordf t.trace ~time:t.clock ~tag fmt

@@ -19,8 +19,6 @@ val prng : t -> Prng.t
 (** The engine's root random stream. Components that need independent
     streams should {!Prng.split} it once at setup. *)
 
-val trace : t -> Trace.t
-
 val record : t -> tag:string -> string -> unit
 (** Record a trace entry at the current virtual time. *)
 
@@ -45,9 +43,6 @@ val tracked_events : t -> int
     stays bounded by the queue length no matter how many events are
     cancelled over the engine's lifetime (diagnostic for tests; there is
     no longer a side table, so this is simply the live count). *)
-
-val step : t -> bool
-(** Execute the next event. Returns [false] if the queue was empty. *)
 
 val run : ?until:Timebase.t -> t -> unit
 (** Execute events until the queue is empty, or, if [until] is given, until

@@ -56,8 +56,6 @@ let float g =
   let bits = Int64.shift_right_logical (bits64 g) 11 in
   Int64.to_float bits *. 0x1.0p-53
 
-let bool g = Int64.logand (bits64 g) 1L = 1L
-
 let bernoulli g ~p =
   assert (p >= 0. && p <= 1.);
   float g < p

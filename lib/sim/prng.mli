@@ -29,25 +29,17 @@ val int : t -> bound:int -> int
 val float : t -> float
 (** Uniform in [\[0, 1)] with 53 bits of precision. *)
 
-val bool : t -> bool
-
 val bernoulli : t -> p:float -> bool
 (** [bernoulli g ~p] is true with probability [p]. *)
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean. *)
 
-val shuffle_in_place : t -> 'a array -> unit
-(** Fisher-Yates shuffle. *)
-
 val permutation : t -> int -> int array
 (** [permutation g n] is a uniformly random permutation of [0 .. n-1]. *)
 
 val bytes : t -> int -> Bytes.t
 (** [bytes g n] is [n] uniformly random bytes. *)
-
-val state_bytes : int
-(** Size of the serialized state: 32 bytes. *)
 
 val to_bytes : t -> Bytes.t
 (** The full generator state, big-endian. With {!set_bytes} this lets a

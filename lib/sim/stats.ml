@@ -24,8 +24,6 @@ let mean t = if t.n = 0 then 0. else t.mean
 
 let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
 
-let stddev t = sqrt (variance t)
-
 let sorted_samples t =
   match t.sorted with
   | Some a -> a

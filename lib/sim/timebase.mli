@@ -21,7 +21,4 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val compare : t -> t -> int
 
-val pp : Format.formatter -> t -> unit
-(** Human-friendly rendering, e.g. ["1.234 ms"], ["7.00 s"]. *)
-
 val to_string : t -> string

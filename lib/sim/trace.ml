@@ -20,9 +20,3 @@ let length t = t.count
 let clear t =
   t.rev_entries <- [];
   t.count <- 0
-
-let pp_entry fmt e =
-  Format.fprintf fmt "t=%-12s %-14s %s" (Timebase.to_string e.time) e.tag e.detail
-
-let pp fmt t =
-  List.iter (fun e -> Format.fprintf fmt "%a@." pp_entry e) (entries t)

@@ -25,8 +25,3 @@ val filter : t -> tag:string -> entry list
 val length : t -> int
 
 val clear : t -> unit
-
-val pp : Format.formatter -> t -> unit
-(** One line per entry: [t=<time> <tag>: <detail>]. *)
-
-val pp_entry : Format.formatter -> entry -> unit

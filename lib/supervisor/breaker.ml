@@ -93,8 +93,6 @@ let exhausted t =
 
 let consecutive_failures t = t.failures
 
-let opens t = t.open_count
-
 let probes t = t.probe_count
 
 let phase_to_string = function

@@ -70,9 +70,6 @@ val exhausted : t -> bool
 
 val consecutive_failures : t -> int
 
-val opens : t -> int
-(** Times the breaker opened (including re-opens after failed probes). *)
-
 val probes : t -> int
 (** Half-open probes attempted so far in the current outage. *)
 

@@ -50,10 +50,6 @@ type config = {
           device to [Suspect] *)
 }
 
-val default_config : config
-(** SMART MP, 30 s rounds, 8 attempts/session, 2 probation rounds,
-    2 remediation attempts, flap threshold 12, gap allowance 1. *)
-
 type outcome = Clean | Tampered | Timeout
 
 type t
@@ -157,9 +153,6 @@ val load : t -> Bytes.t -> (unit, string) result
     over the same roster. Every recovered health history is re-validated
     against {!Health.edges} — a corrupted image is rejected, never
     half-applied into an illegal machine. *)
-
-val state_digest : t -> string
-(** CRC-32 of {!serialize}, rendered as 8 hex digits. *)
 
 (** Rebuilding state from a recovered journal without re-executing it. *)
 module Recovery : sig

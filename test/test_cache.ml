@@ -330,8 +330,7 @@ let test_virtual_equals_materialized () =
    actually groups segment roots into shards, not just degenerates to one. *)
 let build_multi_segment_fleet n =
   let fleet =
-    Fleet.create ~stripes:8
-      ~master_secret:(Bytes.of_string "sharded roll call master") ()
+    Fleet.create ~master_secret:(Bytes.of_string "sharded roll call master") ()
   in
   let config = small_config () in
   for i = 0 to n - 1 do

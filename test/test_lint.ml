@@ -151,6 +151,119 @@ let i_negative () =
        (Ra_lint.check_interface ~file:"lib/crypto/digest_intf.ml" ~mli_exists:false
           "let not_actually_an_interface = 0\n"))
 
+(* Rule I2 reads a whole tree from disk: write the fixture files under a
+   fresh temporary root, run the rule on [paths], and return the flagged
+   exports as "file:path" (the fingerprint without rule and index). *)
+let i2 ?(paths = [ "lib" ]) files =
+  let root = Filename.temp_dir "ralint" "" in
+  let rec mkdir_p d =
+    if not (Sys.file_exists d) then begin
+      mkdir_p (Filename.dirname d);
+      Sys.mkdir d 0o755
+    end
+  in
+  List.iter
+    (fun (file, text) ->
+      let path = Filename.concat root file in
+      mkdir_p (Filename.dirname path);
+      Out_channel.with_open_bin path (fun oc -> output_string oc text))
+    files;
+  let found = Ra_lint.unused_exports ~root paths in
+  let rec rm_rf path =
+    if Sys.is_directory path then begin
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  rm_rf root;
+  List.map
+    (fun f ->
+      let fp = f.Ra_lint.fingerprint in
+      String.sub fp 3 (String.rindex fp '#' - 3))
+    found
+
+let exporter =
+  [
+    ("lib/core/a.mli", "val v : int\nmodule Sub : sig\n  val w : int\nend\n");
+    ("lib/core/a.ml", "let v = 1\nmodule Sub = struct\n  let w = v\nend\n");
+  ]
+
+let i2_positive () =
+  let flagged = Alcotest.(check (list string)) in
+  flagged "referenced nowhere, or only inside its own unit"
+    [ "lib/core/a.mli:v"; "lib/core/a.mli:Sub.w" ]
+    (i2 exporter);
+  flagged "an e2ebench unit named Stats does not hide lib's"
+    [ "lib/sim/stats.mli:dead" ]
+    (i2
+       [
+         ("lib/sim/stats.mli", "val mean : int\nval dead : int\n");
+         ("lib/sim/stats.ml", "let mean = 0\nlet dead = 1\n");
+         ("e2ebench/stats.ml", "let median = 2\n");
+         ("e2ebench/ingest.ml", "let m = Ra_sim.Stats.mean + Stats.median\n");
+       ])
+
+let i2_negative () =
+  let clean what caller =
+    Alcotest.(check (list string)) what [] (i2 (exporter @ [ caller ]))
+  in
+  let uses = "let x = Ra_core.A.v + Ra_core.A.Sub.w\n" in
+  clean "qualified use from another unit" ("lib/server/b.ml", uses);
+  clean "use through module X = A.B"
+    ("bin/main.ml", "module X = Ra_core.A\nmodule S = X.Sub\nlet x = X.v + S.w\n");
+  clean "use through an alias Callgraph does not record"
+    ("bin/main.ml", "include struct\n  module X = Ra_core.A\n  let x = X.v + X.Sub.w\nend\n");
+  clean "use under open" ("bench/main.ml", "open Ra_core.A\nlet x = v\n");
+  clean "use under let open" ("bench/main.ml", "let x = let open Ra_core.A in v\n");
+  clean "use under M.( ... )" ("bench/main.ml", "let x = Ra_core.A.(v)\n");
+  clean "unit passed to a functor"
+    ("examples/ex.ml", "module F (M : sig end) = struct end\nmodule G = F (Ra_core.A)\n");
+  clean "unit packed as a first-class module"
+    ("examples/ex.ml", "module type S = sig end\nlet m = (module Ra_core.A : S)\n");
+  clean "submodule val used as U.Sub.v" ("lib/server/b.ml", "let x = A.Sub.w + A.v\n");
+  clean "use only in test/" ("test/test_a.ml", uses);
+  clean "use only in e2ebench/" ("e2ebench/rollcall.ml", uses);
+  Alcotest.(check (list string))
+    "a waiver on the val holds" []
+    (i2
+       [
+         ( "lib/core/a.mli",
+           "(* ralint: allow I2 -- called by name from a generated file *)\n\
+            val v : int\n" );
+         ("lib/core/a.ml", "let v = 1\n");
+       ])
+
+let i2_paths () =
+  let tree =
+    exporter
+    @ [
+        ("lib/server/b.mli", "val dead : int\n");
+        ("lib/server/b.ml", "let dead = Ra_core.A.v + Ra_core.A.Sub.w\n");
+      ]
+  in
+  Alcotest.(check (list string))
+    "ralint lib/core judges lib/core against the whole tree" []
+    (i2 ~paths:[ "lib/core" ] tree);
+  List.iter
+    (fun path ->
+      Alcotest.(check (list string))
+        ("ralint " ^ path ^ " reports the other unit too")
+        [ "lib/server/b.mli:dead" ]
+        (i2 ~paths:[ path ] tree))
+    [ "lib"; "lib/"; "./lib"; "." ];
+  (* the repository itself: every lib/core export has a caller somewhere *)
+  let root =
+    List.find
+      (fun r -> Sys.file_exists (Filename.concat r "lib/parallel/dune"))
+      [ "."; ".."; "../.."; "../../.." ]
+  in
+  Alcotest.(check (list string))
+    "ralint lib/core on this tree" []
+    (List.map
+       (fun f -> f.Ra_lint.fingerprint)
+       (Ra_lint.unused_exports ~root [ "lib/core" ]))
+
 (* --- suppressions and fingerprints -------------------------------------- *)
 
 let suppression () =
@@ -558,6 +671,8 @@ let () =
           Alcotest.test_case "U negative" `Quick u_negative;
           Alcotest.test_case "I positive" `Quick i_positive;
           Alcotest.test_case "I negative" `Quick i_negative;
+          Alcotest.test_case "I2 positive" `Quick i2_positive;
+          Alcotest.test_case "I2 negative" `Quick i2_negative;
         ] );
       ( "engine",
         [
@@ -565,6 +680,7 @@ let () =
           Alcotest.test_case "fingerprints" `Quick fingerprints;
           Alcotest.test_case "parse error" `Quick parse_error;
           Alcotest.test_case "reachability" `Quick reachability;
+          Alcotest.test_case "I2 paths" `Quick i2_paths;
         ] );
       ( "program",
         [
