@@ -38,14 +38,21 @@ fleet-chaos: build
 # through Fleet.sharded_roll_call, then re-run at another jobs value and
 # another shard count; the fleet Merkle root and every exact counter must
 # be bit-identical across all three runs (DESIGN.md §12), and the root
-# must equal the pinned one, so the gate also fails if it moves.
+# must equal the pinned one, so the gate also fails if it moves. Then one
+# million-device roll call whose root is pinned too (~40 s and ~0.75 GB
+# peak RSS on a 2-core host, DESIGN.md §8.6).
 FLEET_100K_ROOT = 482042032e1dbf85a2bedcd9b51b32beb8010ddaf0a9bc9d6a88a4237dfbc34c
+FLEET_1M_ROOT = bcd3619dc953446850dda23e031a3a64b0c05ece9b40c3e3f98e28060bbe814d
 
 fleet: build
 	dune exec bin/ratool.exe -- fleet --devices 100000 --shards 8 \
 	  --check-jobs 2 --check-shards 3 > _build/fleet-gate.txt; \
 	  status=$$?; cat _build/fleet-gate.txt; test $$status -eq 0
 	grep -qx "  fleet root: $(FLEET_100K_ROOT)" _build/fleet-gate.txt
+	dune exec bin/ratool.exe -- fleet --devices 1000000 --shards 8 \
+	  > _build/fleet-1m-gate.txt; \
+	  status=$$?; cat _build/fleet-1m-gate.txt; test $$status -eq 0
+	grep -qx "  fleet root: $(FLEET_1M_ROOT)" _build/fleet-1m-gate.txt
 
 # The crash-recovery gate: record a campaign into a write-ahead journal,
 # kill the verifier mid-campaign (torn WAL tail), resume from

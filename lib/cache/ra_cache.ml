@@ -41,6 +41,8 @@ module Store = struct
   type t = {
     stripes : stripe array;
     mask : int; (* stripe count - 1; count is a power of two *)
+    images : (int * int, Bytes.t) Hashtbl.t; (* (seed, size) -> image *)
+    image_lock : Mutex.t;
   }
 
   let default_stripes = 16
@@ -59,6 +61,8 @@ module Store = struct
               computed = 0;
             });
       mask = count - 1;
+      images = Hashtbl.create 4;
+      image_lock = Mutex.create ();
     }
 
   let stripes t = t.mask + 1
@@ -114,6 +118,22 @@ module Store = struct
   let computed t = sum_over t (fun s -> s.computed)
 
   let distinct_contents t = sum_over t (fun s -> Hashtbl.length s.table)
+
+  (* Firmware images, one per (seed, size): every fleet member runs the
+     same release, so the image is built once per store and borrowed by
+     every device and verifier view. [make] runs inside the lock, so
+     domains racing on a fresh key build it once and all get the same
+     physical bytes; [Mutex.protect] releases the lock if it raises. The
+     digest counters are not touched: an image is provisioning data, not
+     a measurement. *)
+  let image t ~seed ~size make =
+    Mutex.protect t.image_lock (fun () ->
+        match Hashtbl.find_opt t.images (seed, size) with
+        | Some image -> image
+        | None ->
+          let image = make ~seed ~size in
+          Hashtbl.replace t.images (seed, size) image;
+          image)
 end
 
 (* Per-device memo: (algo, block) -> (version, digest). One entry per

@@ -63,6 +63,17 @@ module Store : sig
       [(algo, content)] pairs ever seen. *)
 
   val distinct_contents : t -> int
+
+  val image :
+    t -> seed:int -> size:int -> (seed:int -> size:int -> Bytes.t) -> Bytes.t
+  (** [image t ~seed ~size make] is the firmware image for [(seed, size)]:
+      [make ~seed ~size] on the first request, the same physical bytes on
+      every later one, from any domain. [make] runs once per key under the
+      store's image lock (released if it raises), so it must be a pure
+      function of [(seed, size)] and every caller of one store must pass
+      the same one. The image is shared: callers must never mutate it.
+      Not counted — {!lookups}, {!computed} and {!distinct_contents} see
+      digests only. *)
 end
 
 type t

@@ -14,7 +14,9 @@ type entry =
   | Virtual of Ra_device.Device.config * (Ra_device.Device.t -> unit) option
 
 type t = {
-  master_secret : Bytes.t;
+  prk : Ra_crypto.Hmac.Sha256.schedule;
+      (* HMAC schedule of the HKDF-extract PRK of the master secret: each
+         device key is then one expand step *)
   store : Ra_cache.Store.t;
   firmware_seed : int;
   mutable roster : (device_id * entry) list; (* newest first *)
@@ -30,7 +32,7 @@ let create ~master_secret () =
     Ra_crypto.Sha256.digest (Bytes.cat (Bytes.of_string "fleet firmware v1:") master_secret)
   in
   {
-    master_secret;
+    prk = Ra_crypto.Hmac.Sha256.schedule ~key:(Ra_crypto.Hkdf.extract ~ikm:master_secret ());
     store = Ra_cache.Store.create ();
     firmware_seed = Ra_crypto.Bytesutil.load32_be digest 0;
     roster = [];
@@ -38,9 +40,9 @@ let create ~master_secret () =
   }
 
 let derive_key t id =
-  Ra_crypto.Hkdf.derive ~ikm:t.master_secret
+  Ra_crypto.Hkdf.expand_with t.prk
     ~info:(Bytes.of_string ("ra-safety attestation key v1:" ^ id))
-    ~length:32 ()
+    ~length:32
 
 let store t = t.store
 

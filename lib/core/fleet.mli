@@ -22,11 +22,15 @@ type device_id = string
 
 val create : master_secret:Bytes.t -> unit -> t
 (** The shared digest store takes {!Ra_cache.Store.create}'s default
-    striping, which suits tens of concurrent domains. *)
+    striping, which suits tens of concurrent domains. The HKDF-extract
+    step and the HMAC key schedule of its PRK run here, once per fleet;
+    the fleet keeps that schedule, not [master_secret]. *)
 
 val derive_key : t -> device_id -> Bytes.t
-(** The 32-byte per-device attestation key. Deterministic per (master,
-    id). *)
+(** The 32-byte per-device attestation key: [Hkdf.derive ~ikm:master_secret
+    ~info:("ra-safety attestation key v1:" ^ id) ~length:32 ()], computed
+    as one expand step ({!Ra_crypto.Hkdf.expand_with}) over the schedule
+    {!create} built. Deterministic per (master, id). *)
 
 val store : t -> Ra_cache.Store.t
 (** The fleet-wide content-addressed digest store every provisioned device

@@ -32,9 +32,7 @@ let create ?store ~key ~expected_image ~block_size ~data_blocks ~zero_data () =
 
 let of_config (config : Ra_device.Device.config) =
   create ?store:config.store ~key:config.key
-    ~expected_image:
-      (Ra_device.Device.firmware_image ~seed:config.seed
-         ~size:(config.blocks * config.block_size))
+    ~expected_image:(Ra_device.Device.image config)
     ~block_size:config.block_size ~data_blocks:config.data_blocks
     ~zero_data:false ()
 

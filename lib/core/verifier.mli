@@ -30,7 +30,9 @@ val create :
 val of_config : Ra_device.Device.config -> t
 (** Build the verifier's view from provisioning data alone (seed-derived
     firmware image, shared key, data-region map, shared store); no device
-    is needed. *)
+    is needed. The expected image is {!Ra_device.Device.image}[ config]:
+    with a store, the one image every device and view of that release
+    borrows, so building a view costs no image. *)
 
 val of_device : Ra_device.Device.t -> t
 (** [of_config] of the device's config. The verifier never reads the

@@ -12,5 +12,11 @@ val expand : prk:Bytes.t -> info:Bytes.t -> length:int -> Bytes.t
     material. Raises [Invalid_argument] if [length] exceeds [255 * 32] or
     is not positive. *)
 
+val expand_with : Hmac.Sha256.schedule -> info:Bytes.t -> length:int -> Bytes.t
+(** [expand_with (Hmac.Sha256.schedule ~key:prk)] is [expand ~prk], with
+    the PRK's HMAC key schedule computed by the caller: one schedule then
+    serves every [info], so a fleet deriving many device keys from one PRK
+    pays the key setup once. The schedule is not consumed. *)
+
 val derive : ?salt:Bytes.t -> ikm:Bytes.t -> info:Bytes.t -> length:int -> unit -> Bytes.t
 (** Extract-then-expand convenience. *)

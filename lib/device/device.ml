@@ -48,6 +48,15 @@ let firmware_image ~seed ~size =
   let rng = Prng.create ~seed:(seed lxor 0x46495257 (* "FIRW" *)) in
   Prng.bytes rng size
 
+(* Fleet members share one release, so with a store the image is built
+   once per (seed, size) and borrowed from then on; Memory copies each
+   block out of it, so no device write can reach the shared bytes. *)
+let image config =
+  let size = config.blocks * config.block_size in
+  match config.store with
+  | Some store -> Ra_cache.Store.image store ~seed:config.seed ~size firmware_image
+  | None -> firmware_image ~seed:config.seed ~size
+
 let create config =
   if config.blocks <= 0 then invalid_arg "Device.create: no blocks";
   List.iter
@@ -56,11 +65,10 @@ let create config =
         invalid_arg "Device.create: data block out of range")
     config.data_blocks;
   let engine = Engine.create ~seed:config.seed () in
-  let image = firmware_image ~seed:config.seed ~size:(config.blocks * config.block_size) in
   {
     engine;
     cpu = Cpu.create engine;
-    memory = Memory.create ~image ~block_size:config.block_size;
+    memory = Memory.create ~image:(image config) ~block_size:config.block_size;
     config;
     cache =
       (if config.digest_cache then Some (Ra_cache.create ?store:config.store ())

@@ -41,10 +41,20 @@ type t = private {
 
 val create : config -> t
 (** The firmware image is generated deterministically from [seed]; the
-    verifier reconstructs the same image from the same seed. *)
+    verifier reconstructs the same image from the same seed. The memory
+    borrows {!image}[ config] as its initial image. *)
 
 val firmware_image : seed:int -> size:int -> Bytes.t
 (** The deterministic benign image generator shared with the verifier. *)
+
+val image : config -> Bytes.t
+(** The benign image of [config]: with [config.store], the store's one
+    shared image for [(seed, blocks * block_size)]
+    ({!Ra_cache.Store.image}), built on first use and the same physical
+    bytes for every device and verifier view after that; without a store,
+    a fresh {!firmware_image} on every call. Either way it equals
+    [firmware_image ~seed ~size]. The result may be shared: never mutate
+    it. *)
 
 val attested_bytes : t -> int
 (** Total modeled size: [blocks * modeled_block_bytes]. *)

@@ -12,7 +12,12 @@ type lock_state = Unlocked | Locked_hard | Locked_cow of Bytes.t option ref
    Readers observing an unchanged version are guaranteed unchanged bytes,
    which is what the measurement digest cache keys on. Cow-diverted writes
    do not bump the version until the shadow merges — readers (and the
-   cache) keep seeing the frozen content until then. *)
+   cache) keep seeing the frozen content until then.
+
+   [initial] is the caller's image, borrowed, not copied: fleet devices
+   and verifier views share one image per release. Every live block is a
+   copy out of it and nothing here writes it, so no device write can reach
+   the shared bytes. *)
 type t = {
   data : Bytes.t array;
   block_size : int;
@@ -37,7 +42,7 @@ let create ~image ~block_size =
     blocks;
     locks = Array.make blocks Unlocked;
     versions = Array.make blocks 0;
-    initial = Bytes.copy image;
+    initial = image;
     journal = [];
     unlock_subscribers = [];
   }

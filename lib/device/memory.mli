@@ -15,7 +15,12 @@ type t
 type write_error = Locked of int  (** the offending block *)
 
 val create : image:Bytes.t -> block_size:int -> t
-(** The image length must be a positive multiple of [block_size]. *)
+(** The image length must be a positive multiple of [block_size].
+    [image] is borrowed, not copied: it becomes the read-only initial
+    image ({!initial_image}, {!content_at}), and the caller must never
+    mutate it afterwards. Every live block is a fresh copy out of it, so
+    writes to this memory never reach [image], and one image can back
+    many memories. *)
 
 val block_count : t -> int
 val block_size : t -> int

@@ -32,9 +32,11 @@ val known : t -> string -> bool
 val verify : t -> device:string -> Report.t -> Verifier.verdict * Bytes.t
 (** Verify one decoded report against [device]'s expected image; returns
     the verdict and the report MAC (the Merkle leaf material). Builds a
-    fresh verifier per call from immutable provisioning data, so
-    concurrent calls from a parallel drain are safe. Raises [Not_found]
-    for unknown devices. *)
+    fresh verifier view per call from immutable provisioning data. The
+    view borrows the fleet store's one firmware image, built by the first
+    call under the store's image lock, so a call costs the expected-MAC
+    check and no image, and concurrent calls from a parallel drain are
+    safe. Raises [Not_found] for unknown devices. *)
 
 val record : t -> device:string -> seq:int -> Verifier.verdict -> Bytes.t -> unit
 (** Fold one verified submission into the verdict table. Submissions

@@ -180,6 +180,58 @@ let test_cache_accounting () =
     (acc.Cost_model.modeled_ns_hit = 3. /. 4. *. acc.Cost_model.modeled_ns_total);
   check Alcotest.bool "total positive" true (acc.Cost_model.modeled_ns_total > 0.)
 
+(* --- one firmware image per store ---------------------------------------- *)
+
+(* Devices and verifier views of one store borrow a single image. A write
+   to device A must reach neither device B, nor A's own initial image, nor
+   the expected image a verifier view holds. *)
+let test_shared_image_benign () =
+  let store = Ra_cache.Store.create () in
+  let config = small_config ~store () in
+  let image = Device.firmware_image ~seed:3 ~size:(blocks * 64) in
+  let a = Device.create config and b = Device.create config in
+  check Alcotest.bytes "Device.image = firmware_image" image (Device.image config);
+  let flipped =
+    Bytes.map (fun c -> Char.chr (Char.code c lxor 0xff)) (Bytes.sub image (3 * 64) 8)
+  in
+  (match Memory.write a.Device.memory ~time:(Timebase.ms 1) ~block:3 ~offset:0 flipped with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "write to an unlocked block failed");
+  check Alcotest.bytes "B's snapshot" image (Memory.snapshot b.Device.memory);
+  check Alcotest.bytes "A's initial image" image (Memory.initial_image a.Device.memory);
+  check Alcotest.bytes "A at time 0" image (Memory.content_at a.Device.memory ~time:0);
+  let verdict dev =
+    let out = ref None in
+    Mp.run dev Mp.default_config ~nonce ~on_complete:(fun r -> out := Some r) ();
+    Device.run dev;
+    Verifier.verify (Verifier.of_config config) (Option.get !out)
+  in
+  check Alcotest.bool "A tampered" true (verdict a = Verifier.Tampered);
+  check Alcotest.bool "B clean" true (verdict b = Verifier.Clean)
+
+(* Racing domains asking one store for one image all get the same physical
+   bytes, built once; the digest counters do not move. Without a store
+   every call builds fresh bytes. *)
+let test_one_image_across_domains () =
+  let store = Ra_cache.Store.create () in
+  let images =
+    Ra_parallel.parallel_init ~jobs:4 64 (fun _ ->
+        Ra_cache.Store.image store ~seed:3 ~size:256 Device.firmware_image)
+  in
+  check Alcotest.bool "one physical image" true
+    (Array.for_all (fun i -> i == images.(0)) images);
+  check Alcotest.bytes "= firmware_image" (Device.firmware_image ~seed:3 ~size:256)
+    images.(0);
+  check (Alcotest.triple Alcotest.int Alcotest.int Alcotest.int) "counters untouched"
+    (0, 0, 0)
+    ( Ra_cache.Store.lookups store,
+      Ra_cache.Store.computed store,
+      Ra_cache.Store.distinct_contents store );
+  let config = small_config () in
+  let i1 = Device.image config and i2 = Device.image config in
+  check Alcotest.bool "no store: fresh bytes" false (i1 == i2);
+  check Alcotest.bytes "no store: same content" i1 i2
+
 (* --- racing store probes ------------------------------------------------- *)
 
 let store_counters store =
@@ -457,6 +509,12 @@ let () =
         [
           Alcotest.test_case "batch counters jobs-invariant" `Quick
             test_store_batch_jobs_invariant;
+        ] );
+      ( "image",
+        [
+          Alcotest.test_case "shared image stays benign" `Quick test_shared_image_benign;
+          Alcotest.test_case "one image across domains" `Quick
+            test_one_image_across_domains;
         ] );
       ( "striping",
         [

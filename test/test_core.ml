@@ -1124,7 +1124,12 @@ let test_fleet_key_derivation () =
   check Alcotest.bytes "deterministic" ka (Fleet.derive_key fleet "sensor-a");
   let other = Fleet.create ~master_secret:(Bytes.of_string "other-master") () in
   check Alcotest.bool "master separation" false
-    (Bytes.equal ka (Fleet.derive_key other "sensor-a"))
+    (Bytes.equal ka (Fleet.derive_key other "sensor-a"));
+  check Alcotest.bytes "one expand = HKDF derive"
+    (Ra_crypto.Hkdf.derive ~ikm:(Bytes.of_string "fleet-master")
+       ~info:(Bytes.of_string ("ra-safety attestation key v1:" ^ "sensor-a"))
+       ~length:32 ())
+    ka
 
 let test_fleet_attest_all () =
   let fleet = Fleet.create ~master_secret:(Bytes.of_string "fleet-master") () in

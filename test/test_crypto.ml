@@ -332,7 +332,10 @@ let test_hkdf_rfc5869_case1 () =
     (hex prk);
   check Alcotest.string "okm"
     "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"
-    (hex (Hkdf.expand ~prk ~info ~length:42))
+    (hex (Hkdf.expand ~prk ~info ~length:42));
+  check Alcotest.string "okm (expand_with)"
+    "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"
+    (hex (Hkdf.expand_with (Hmac.Sha256.schedule ~key:prk) ~info ~length:42))
 
 let test_hkdf_rfc5869_case2 () =
   let ikm = Bytes.init 80 (fun i -> Char.chr i) in
