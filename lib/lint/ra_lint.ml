@@ -225,11 +225,14 @@ let check_ident ctx path loc =
 
 (* Does [e] construct mutable state when evaluated at module init?
    Function bodies are skipped: state created per call is not shared.
+   A lazy value counts: forcing it writes the cell, and two domains
+   forcing one cell raise [CamlinternalLazy.Undefined].
    Returns a description of the first mutable constructor found. *)
 let rec mutable_init e =
   let open Parsetree in
   match e.pexp_desc with
   | Pexp_array _ -> Some "array literal"
+  | Pexp_lazy _ -> Some "lazy"
   | Pexp_apply (fn, args) -> (
     let from_args () =
       List.fold_left
@@ -240,7 +243,8 @@ let rec mutable_init e =
     | Some [ "ref" ] -> Some "ref"
     | Some ([ ("Hashtbl" | "Queue" | "Stack" | "Buffer" | "Weak"); "create" ] as p)
     | Some ([ "Array"; ("make" | "create_float" | "init" | "make_matrix") ] as p)
-    | Some ([ "Bytes"; ("make" | "create" | "init" | "of_string") ] as p) ->
+    | Some ([ "Bytes"; ("make" | "create" | "init" | "of_string") ] as p)
+    | Some ([ "Lazy"; "from_fun" ] as p) ->
       Some (String.concat "." p)
     | _ -> from_args ())
   | Pexp_tuple es -> List.fold_left

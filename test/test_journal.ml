@@ -360,6 +360,37 @@ let test_golden_fleet_chaos () =
     check Alcotest.(list string) "invariants" [] r.Fleet_chaos.violations;
     check Alcotest.int "rounds" 15 r.Fleet_chaos.report.Supervisor.rounds
 
+(* The replays show that the checked-in journals still read; this shows
+   that today's writer still produces them. Both campaigns are recorded
+   afresh, with the commands above, and every file must equal its golden
+   copy byte for byte. *)
+let test_golden_writer () =
+  let record run =
+    let disk = Disk.Mem.disk (Disk.Mem.create ()) in
+    run (Journal.create disk);
+    disk
+  in
+  let same name recorded =
+    let expected = golden name in
+    check Alcotest.(list string) (name ^ " files") (expected.Disk.list ())
+      (recorded.Disk.list ());
+    List.iter
+      (fun file ->
+        match (expected.Disk.read file, recorded.Disk.read file) with
+        | Some e, Some r when Bytes.equal e r -> ()
+        | e, r ->
+          let size = Option.fold ~none:0 ~some:Bytes.length in
+          Alcotest.failf "%s/%s: recorded %d bytes differ from the golden %d"
+            name file (size r) (size e))
+      (expected.Disk.list ())
+  in
+  same "fleet-roll"
+    (record (fun journal ->
+         ignore (Fleet_roll.run ~devices:2048 ~seed:7 ~shards:3 ~jobs:2 ~journal ())));
+  same "fleet-chaos"
+    (record (fun journal ->
+         ignore (Fleet_chaos.run ~devices:20 ~seed:7 ~journal ())))
+
 let () =
   Alcotest.run "ra_journal"
     [
@@ -407,5 +438,7 @@ let () =
             test_golden_fleet_roll;
           Alcotest.test_case "fleet-chaos journal replays" `Quick
             test_golden_fleet_chaos;
+          Alcotest.test_case "writer records the goldens" `Quick
+            test_golden_writer;
         ] );
     ]

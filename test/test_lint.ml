@@ -65,6 +65,11 @@ let p_positive () =
     (rules (lint "let state = (ref 0, 1)\n"));
   check rules_testable "toplevel array literal fires P2" [ "P2" ]
     (rules (lint "let tbl = [| 1; 2; 3 |]\n"));
+  check rules_testable "toplevel lazy table fires P2" [ "P2" ]
+    (rules
+       (lint "let table =\n  lazy\n    (Array.init 256 (fun n ->\n         let c = ref n in\n         !c))\n"));
+  check rules_testable "toplevel Lazy.from_fun fires P2" [ "P2" ]
+    (rules (lint "let table = Lazy.from_fun (fun () -> Array.make 256 0)\n"));
   check rules_testable "Unix socket call outside the shell fires P3" [ "P3" ]
     (rules (lint "let s () = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0\n"));
   check rules_testable "Unix.fork outside the shell fires P3" [ "P3" ]
@@ -83,6 +88,10 @@ let p_negative () =
     (rules (lint "let now () = Unix.gettimeofday ()\n"));
   check rules_testable "per-call state is not module state" []
     (rules (lint "let fresh () = Hashtbl.create 16\n"));
+  check rules_testable "a lazy built per call is not module state" []
+    (rules (lint "let fresh n = lazy (Array.make n 0)\n"));
+  check rules_testable "Lazy.from_val is already forced" []
+    (rules (lint "let size = Lazy.from_val 256\n"));
   check rules_testable "P2 scoping excludes unreachable paths" []
     (rules
        (lint
