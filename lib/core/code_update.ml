@@ -131,12 +131,9 @@ let run device config ?(cheat_blocks = []) ~new_seed ~on_done () =
               })
           ())
   in
-  Engine.record eng ~tag:"update" "secure erasure starts";
   fill 0 (fun () ->
       prove (fun proof_ok ->
           let erased_at = Engine.now eng in
-          Engine.recordf eng ~tag:"update" "erasure proof %s"
-            (if proof_ok then "accepted" else "REJECTED");
           if proof_ok then install_and_attest ~erased_at
           else
             on_done

@@ -58,20 +58,16 @@ let rec measure t =
     in
     match t.config.defer_if_app_running with
     | Some delay when busy_with_higher_priority () ->
-      Engine.record eng ~tag:"erasmus" "measurement deferred (app running)";
       ignore
         (Engine.schedule_after eng ~delay (fun _ ->
              if Device.epoch t.device = ep then measure t))
     | Some _ | None ->
       t.counter <- t.counter + 1;
       let counter = t.counter in
-      Engine.recordf eng ~tag:"erasmus" "self-measurement #%d starts" counter;
       Mp.run t.device
         { t.config.mp with Mp.counter = Some counter }
         ~nonce:(counter_nonce counter) ~hooks:t.hooks
-        ~on_complete:(fun report ->
-          store t report;
-          Engine.recordf eng ~tag:"erasmus" "self-measurement #%d stored" counter)
+        ~on_complete:(store t)
         ();
       ignore
         (Engine.schedule_after eng ~delay:t.config.period (fun _ ->

@@ -114,11 +114,9 @@ let apply_initial_locks st =
   let mem = memory st in
   match st.config.scheme.Scheme.locking with
   | Scheme.All_lock | Scheme.All_lock_ext _ | Scheme.Dec_lock ->
-    Memory.lock_all mem;
-    Engine.record (engine st) ~tag:"mp" "lock: all blocks locked"
+    Memory.lock_all mem
   | Scheme.Cpy_lock ->
-    Memory.lock_all_cow mem;
-    Engine.record (engine st) ~tag:"mp" "lock: all blocks cow-locked"
+    Memory.lock_all_cow mem
   | Scheme.No_lock | Scheme.Inc_lock | Scheme.Inc_lock_ext _ -> ()
 
 let finish st ~t_end ~t_release =
@@ -147,7 +145,6 @@ let release_locks st ~t_end k =
   | Scheme.No_lock | Scheme.Dec_lock -> k t_end
   | Scheme.All_lock | Scheme.Inc_lock ->
     Memory.unlock_all ~time:(Engine.now eng) mem;
-    Engine.record eng ~tag:"mp" "lock: all blocks released";
     k t_end
   | Scheme.Cpy_lock ->
     (* Merging the dirty shadows back costs real copy time, so the merged
@@ -167,16 +164,13 @@ let release_locks st ~t_end k =
          ~duration
          ~on_complete:(fun () ->
            Memory.unlock_all ~time:(Engine.now eng) mem;
-           Engine.recordf eng ~tag:"mp" "lock: %d shadows merged, all blocks released"
-             !dirty;
            k (Engine.now eng))
          ())
   | Scheme.All_lock_ext delay | Scheme.Inc_lock_ext delay ->
     let t_release = Timebase.add t_end delay in
     ignore
       (Engine.schedule eng ~at:t_release (fun _ ->
-           Memory.unlock_all ~time:(Engine.now eng) mem;
-           Engine.record eng ~tag:"mp" "lock: extension over, all blocks released"));
+           Memory.unlock_all ~time:(Engine.now eng) mem));
     k t_release
 
 let sign_then_finish st ~t_end ~t_release =
@@ -197,9 +191,7 @@ let rec measure_block st idx =
   let mem = memory st in
   let eng = engine st in
   (match st.config.scheme.Scheme.locking with
-  | Scheme.Inc_lock | Scheme.Inc_lock_ext _ ->
-    Memory.lock mem block;
-    Engine.recordf eng ~tag:"mp" "lock: block %d locked (inc)" block
+  | Scheme.Inc_lock | Scheme.Inc_lock_ext _ -> Memory.lock mem block
   | Scheme.No_lock | Scheme.All_lock | Scheme.All_lock_ext _ | Scheme.Dec_lock
   | Scheme.Cpy_lock -> ());
   let duration =
@@ -218,17 +210,13 @@ let rec measure_block st idx =
          if Device.is_data_block st.device block && not st.config.scheme.Scheme.zero_data
          then st.data_copy <- (block, Memory.read_block mem block) :: st.data_copy;
          (match st.config.scheme.Scheme.locking with
-         | Scheme.Dec_lock ->
-           Memory.unlock ~time:(Engine.now eng) mem block;
-           Engine.recordf eng ~tag:"mp" "lock: block %d released (dec)" block
+         | Scheme.Dec_lock -> Memory.unlock ~time:(Engine.now eng) mem block
          | Scheme.No_lock | Scheme.All_lock | Scheme.All_lock_ext _
          | Scheme.Inc_lock | Scheme.Inc_lock_ext _ | Scheme.Cpy_lock -> ());
-         Engine.recordf eng ~tag:"mp" "measured block %d (%d/%d)" block (idx + 1) total;
          st.hooks.on_block_measured ~measured:(idx + 1) ~total;
          if idx + 1 < total then measure_block st (idx + 1)
          else begin
            let t_end = Engine.now eng in
-           Engine.record eng ~tag:"mp" "te: measurement complete";
            release_locks st ~t_end (fun t_release ->
                sign_then_finish st ~t_end ~t_release)
          end)
@@ -266,7 +254,6 @@ let run_atomic st =
              then st.data_copy <- (block, Memory.read_block mem block) :: st.data_copy)
            st.order;
          let t_end = Engine.now eng in
-         Engine.record eng ~tag:"mp" "te: atomic measurement complete";
          release_locks st ~t_end (fun t_release -> finish st ~t_end ~t_release))
        ())
 
@@ -291,9 +278,6 @@ let run device config ~nonce ?(hooks = null_hooks) ~on_complete () =
       on_complete;
     }
   in
-  Engine.recordf eng ~tag:"mp" "ts: %s measurement starts (%d blocks, %s)"
-    config.scheme.Scheme.name n
-    (Ra_crypto.Algo.hash_name config.hash);
   if config.scheme.Scheme.zero_data then zero_data_blocks st;
   apply_initial_locks st;
   Ra_crypto.Mac_stream.update st.ctx nonce;

@@ -27,11 +27,9 @@ let on_demand device verifier mp_config ?(hooks = Mp.null_hooks) ~net_delay
   let eng = device.Device.engine in
   let nonce = Prng.bytes (Engine.prng eng) 16 in
   let request_sent = Engine.now eng in
-  Engine.record eng ~tag:"protocol" "Vrf: attestation request sent";
   ignore
     (Engine.schedule_after eng ~delay:net_delay (fun _ ->
          let request_received = Engine.now eng in
-         Engine.record eng ~tag:"protocol" "Prv: request received";
          (* Request authentication runs at the MP's priority: on a busy
             device the measurement is deferred, as Fig. 1 illustrates. *)
          ignore
@@ -41,14 +39,10 @@ let on_demand device verifier mp_config ?(hooks = Mp.null_hooks) ~net_delay
                 Mp.run device mp_config ~nonce ~hooks
                   ~on_complete:(fun report ->
                     let report_sent = Engine.now eng in
-                    Engine.record eng ~tag:"protocol" "Prv: report sent";
                     ignore
                       (Engine.schedule_after eng ~delay:net_delay (fun _ ->
                            let report_received = Engine.now eng in
                            let verdict = Verifier.verify_fresh verifier ~nonce report in
-                           Engine.recordf eng ~tag:"protocol"
-                             "Vrf: report verified: %s"
-                             (Verifier.verdict_to_string verdict);
                            on_done
                              {
                                request_sent;

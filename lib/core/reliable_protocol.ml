@@ -230,9 +230,6 @@ let run device verifier config ?rtt ?(mp_hooks = Mp.null_hooks) ~on_done () =
           let span = int_of_float (float_of_int !rto *. config.backoff_jitter) in
           if span > 0 then Prng.int rng ~bound:(span + 1) else 0
         in
-        Engine.recordf eng ~tag:"protocol" "request attempt %d (timeout %s)"
-          !attempts
-          (Timebase.to_string (Timebase.add !rto jitter));
         (match !uplink with
         | Some ch -> Channel.send ch (encode_request ~attempt:!attempts nonce)
         | None -> ());

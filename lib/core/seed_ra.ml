@@ -63,7 +63,6 @@ let rec arm t =
              if Device.is_up t.device then begin
                t.counter <- t.counter + 1;
                let counter = t.counter in
-               Engine.recordf eng ~tag:"seed" "trigger #%d fires" counter;
                let nonce = Bytes.create 8 in
                Ra_crypto.Bytesutil.store64_be nonce 0 (Int64.of_int counter);
                Mp.run t.device
@@ -74,10 +73,7 @@ let rec arm t =
                    t.send (Engine.now eng, report))
                  ()
              end
-             else begin
-               t.missed <- t.missed + 1;
-               Engine.record eng ~tag:"seed" "trigger missed (device down)"
-             end
+             else t.missed <- t.missed + 1
            end))
   end
 

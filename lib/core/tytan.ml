@@ -66,9 +66,6 @@ let run device config ~nonce ?(hooks = null_hooks) ~on_complete () =
   let measure_region process k =
     hooks.on_region_start ~measured:process;
     let t_start = Engine.now eng in
-    Engine.recordf eng ~tag:"tytan" "measuring process %s (blocks %d..%d)"
-      process.name process.first_block
-      (process.first_block + process.block_span - 1);
     let ctx =
       Ra_crypto.Mac_stream.create config.hash ~key:device.Device.config.Device.key
     in

@@ -52,8 +52,6 @@ let rec perform_writes t ~activated ~payload = function
     (match Memory.write t.memory ~time:now ~block ~offset:0 payload with
     | Ok () -> perform_writes t ~activated ~payload rest
     | Error (Memory.Locked _) ->
-      Engine.recordf t.engine ~tag:t.config.name
-        "write to block %d stalled (locked)" block;
       let stall_started = now in
       (* One-shot resume on the next unlock of this block. *)
       let armed = ref true in
@@ -79,10 +77,7 @@ let compute_done t ~activated =
   (* Sensing happens during compute: the first compute phase that completes
      after the fire started is the one that detects it. *)
   (match (t.fire_at, t.alarm_at) with
-  | Some fire, None when now >= fire ->
-    t.alarm_at <- Some now;
-    Engine.recordf t.engine ~tag:t.config.name "ALARM raised (fire at %s)"
-      (Timebase.to_string fire)
+  | Some fire, None when now >= fire -> t.alarm_at <- Some now
   | Some _, (Some _ | None) | None, (Some _ | None) -> ());
   t.on_run ();
   let payload = sample_payload t in

@@ -108,9 +108,6 @@ let crash ?(reboot_delay = Timebase.ms 250) t =
     t.up <- false;
     t.epoch <- t.epoch + 1;
     t.crash_count <- t.crash_count + 1;
-    Engine.recordf eng ~tag:"device" "CRASH #%d: volatile state lost, reboot in %s"
-      t.crash_count
-      (Timebase.to_string reboot_delay);
     (* Power loss: every CPU job dies mid-flight (no completions), MPU locks
        are volatile and come up open. *)
     Cpu.flush t.cpu;
@@ -120,6 +117,5 @@ let crash ?(reboot_delay = Timebase.ms 250) t =
       (Engine.schedule_after eng ~delay:reboot_delay (fun _ ->
            t.up <- true;
            t.last_boot_at <- Engine.now eng;
-           Engine.recordf eng ~tag:"device" "boot complete (epoch %d)" t.epoch;
            List.iter (fun f -> f ()) t.reboot_hooks))
   end

@@ -52,9 +52,8 @@ let inject device ~at ~block =
     match
       Memory.write mem ~time:(Engine.now eng) ~block ~offset:0 payload
     with
-    | Ok () -> Engine.recordf eng ~tag:"writer" "write to block %d applied" block
+    | Ok () -> ()
     | Error (Memory.Locked _) ->
-      Engine.recordf eng ~tag:"writer" "write to block %d stalled" block;
       let armed = ref true in
       Memory.subscribe_unlock mem (fun unlocked ->
           if !armed && unlocked = block then begin

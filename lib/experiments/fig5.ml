@@ -64,8 +64,6 @@ let run_story ?(seed = 11) () =
         (Engine.schedule eng ~at (fun _ ->
              collections := at :: !collections;
              collected := !collected @ Erasmus.collect erasmus ~max:8;
-             Engine.recordf eng ~tag:"vrf" "collection visit (%d reports held)"
-               (List.length (Erasmus.stored erasmus));
              collect_at (Timebase.add at t_c)))
   in
   collect_at t_c;

@@ -17,7 +17,6 @@ let rec watch t =
              if Engine.now t.engine >= t.deadline then begin
                (* not petted in time *)
                t.bites <- t.bites + 1;
-               Engine.record t.engine ~tag:"watchdog" "watchdog bites";
                t.deadline <- Timebase.add (Engine.now t.engine) t.timeout;
                watch t;
                t.on_bite ()
