@@ -254,11 +254,6 @@ let sharded_roll_call t ?jobs ?(shards = 1) ?journal
            ("cache-hits", Event.I result.cache_hits);
            ("store-hits", Event.I result.store_hits);
            ("hashed", Event.I result.hashed);
-           (* Repeats [hashed]: it counted the computes of a batch digest
-              path every roll call took, so the two were always equal, and
-              the key stays so that recorded journals (the golden
-              fleet-roll WAL among them) replay byte for byte. *)
-           ("batch-hashed", Event.I result.hashed);
            ("distinct", Event.I result.distinct_blocks);
            ("fleet-root", Event.B result.fleet_root);
            ("shard-roots", Event.B (Bytes.concat Bytes.empty

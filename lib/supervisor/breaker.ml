@@ -30,7 +30,6 @@ type t = {
   mutable deadline : Timebase.t; (* meaningful while Open *)
   mutable failures : int; (* consecutive *)
   mutable probe_count : int; (* failed probes this outage *)
-  mutable open_count : int;
 }
 
 let create ?(config = default_config) ~rng () =
@@ -45,7 +44,6 @@ let create ?(config = default_config) ~rng () =
     deadline = Timebase.zero;
     failures = 0;
     probe_count = 0;
-    open_count = 0;
   }
 
 let phase t = t.phase
@@ -76,7 +74,6 @@ let record_success t =
 
 let open_ t ~now ~rto_hint =
   t.phase <- Open;
-  t.open_count <- t.open_count + 1;
   t.deadline <- Timebase.add now (cooldown t ~rto_hint)
 
 let record_failure t ~now ~rto_hint =
@@ -110,7 +107,6 @@ let save t =
   C.i64 w t.deadline;
   C.i64 w t.failures;
   C.i64 w t.probe_count;
-  C.i64 w t.open_count;
   C.bytes w (Prng.to_bytes t.rng);
   C.contents w
 
@@ -128,13 +124,12 @@ let restore t b =
     let deadline = C.read_i64 r in
     let failures = C.read_i64 r in
     let probe_count = C.read_i64 r in
-    let open_count = C.read_i64 r in
     let rng = C.read_bytes r in
     C.expect_end r;
-    (phase, deadline, failures, probe_count, open_count, rng)
+    (phase, deadline, failures, probe_count, rng)
   with
-  | phase, deadline, failures, probe_count, open_count, rng ->
-      if failures < 0 || probe_count < 0 || open_count < 0 then
+  | phase, deadline, failures, probe_count, rng ->
+      if failures < 0 || probe_count < 0 then
         Error "Breaker.restore: negative counter"
       else begin
         match Prng.set_bytes t.rng rng with
@@ -143,7 +138,6 @@ let restore t b =
             t.deadline <- deadline;
             t.failures <- failures;
             t.probe_count <- probe_count;
-            t.open_count <- open_count;
             Ok ()
         | exception Invalid_argument msg -> Error ("Breaker.restore: " ^ msg)
       end
