@@ -14,6 +14,8 @@ type record_state = {
   disk : Disk.t;
   snapshot_every : int;
   mutable next_seq : int;
+  mutable unsynced : bool;  (* a record was appended since the last commit *)
+  mutable commits : int;  (* commits that synced *)
 }
 
 type verify_state = {
@@ -36,7 +38,7 @@ let create ?(snapshot_every = 3) disk =
   disk.Disk.write wal_file Bytes.empty;
   disk.Disk.sync wal_file;
   disk.Disk.sync_dir ();
-  Record { disk; snapshot_every; next_seq = 1 }
+  Record { disk; snapshot_every; next_seq = 1; unsynced = false; commits = 0 }
 
 let skip_markers v =
   while
@@ -50,7 +52,8 @@ let append t ev =
   match t with
   | Record r ->
       r.disk.Disk.append wal_file (Wal.encode ~seq:r.next_seq (Event.encode ev));
-      r.next_seq <- r.next_seq + 1
+      r.next_seq <- r.next_seq + 1;
+      r.unsynced <- true
   | Verify v ->
       if v.divergence = None then begin
         skip_markers v;
@@ -74,8 +77,13 @@ let append t ev =
 
 let commit t =
   match t with
-  | Record r -> r.disk.Disk.sync wal_file
-  | Verify _ -> ()
+  | Record r when r.unsynced ->
+      r.disk.Disk.sync wal_file;
+      r.unsynced <- false;
+      r.commits <- r.commits + 1
+  | Record _ | Verify _ -> ()
+
+let commits t = match t with Record r -> r.commits | Verify _ -> 0
 
 let want_snapshot t ~round =
   match t with
@@ -180,7 +188,7 @@ let resume ?(snapshot_every = 3) disk recovery ~keep =
   let good = if keep = 0 then 0 else recovery.offsets.(keep - 1) in
   disk.Disk.truncate wal_file good;
   disk.Disk.sync wal_file;
-  Record { disk; snapshot_every; next_seq = keep + 1 }
+  Record { disk; snapshot_every; next_seq = keep + 1; unsynced = false; commits = 0 }
 
 let restart ?snapshot_every ?validate disk ~keep =
   match recover disk with

@@ -40,7 +40,12 @@ val append : t -> Event.t -> unit
     mode: compare against the next recorded event. *)
 
 val commit : t -> unit
-(** Make all appended records durable. No-op in verify mode. *)
+(** Make all appended records durable with one [fsync]. No-op when
+    nothing was appended since the last commit, and in verify mode. *)
+
+val commits : t -> int
+(** Commits that synced since this journal was opened ({!create} or
+    {!resume}); [0] in verify mode. *)
 
 val want_snapshot : t -> round:int -> bool
 

@@ -27,7 +27,8 @@
       ([Unix.*], fsync, [Domain.join]) while holding a lock, L4 kernel
       digest computation reachable outside the owning stripe lock.
     - {b O protocol order}: O1 every Ack-emitting path in the verifier
-      [Core] journals (append {e and} commit) first, O2 every
+      [Core] journals (append {e and} commit) first, where a commit also
+      covers the appends of earlier calls (a batch), O2 every
       [Journal.restart] caller passes [~validate].
     - {b C secret flow}: C1 early-exit comparisons ([=], [compare],
       [Bytes.equal], …) on values carrying key/MAC taint, C2 secrets

@@ -226,7 +226,11 @@ let apply_call p st ~loc ~path ~args =
     let st =
       match journal_op expanded with
       | Some "append" -> { st with j = 1 }
-      | Some "commit" -> { st with j = (if st.j >= 1 then 2 else st.j) }
+      (* a commit makes every record appended so far durable, on this
+         path or by an earlier call: a batch's admits append and its
+         commit answers, so an Ack below an unconditional commit is
+         clean whoever appended *)
+      | Some "commit" -> { st with j = 2 }
       | Some "restart" ->
         let has_validate =
           List.exists
@@ -367,9 +371,9 @@ let rec walk p st e =
         add_raw p "O1" e.pexp_loc
           (Callgraph.token_of_path (Longident.flatten txt))
           (if st.j = 0 then
-             "Ack emitted on a path with no journal append: a client that \
-              acts on this Ack loses the report to a kill -9 — append and \
-              commit to the journal first"
+             "Ack emitted on a path with no journal append or commit: a \
+              client that acts on this Ack loses the report to a kill -9 — \
+              append and commit to the journal first"
            else
              "Ack emitted after journal append but before commit: the \
               record is not durable until Journal.commit runs");

@@ -14,12 +14,18 @@ type config = { devices : int; seed : int; capacity : int }
 
 let default_config = { devices = 32; seed = 7; capacity = 64 }
 
+(* An answer admitted but not yet handed out. An Ack is owed, not built:
+   only the batch's commit makes its record durable, so [commit] builds
+   it after that. *)
+type answer = Owed_ack of string * int | Answered of Wire.response
+
 type t = {
   config : config;
   world : World.t;
   journal : J.t;
   queue : (string * int * Ra_core.Report.t) Queue.t;
   seen : (string * int, unit) Hashtbl.t;
+  mutable answers : answer list;  (* admitted since the last commit, newest first *)
   mutable accepted : int;
   mutable shed : int;
   mutable deduped : int;
@@ -58,6 +64,7 @@ let make config world journal =
     journal;
     queue = Queue.create ();
     seen = Hashtbl.create 1024;
+    answers = [];
     accepted = 0;
     shed = 0;
     deduped = 0;
@@ -147,29 +154,29 @@ let counters t =
     deduped = t.deduped;
     rejected = t.rejected;
     recovered = t.recovered;
+    commits = J.commits t.journal;
   }
 
 let submit t ~device ~seq report =
   if not (World.known t.world device) then begin
     t.rejected <- t.rejected + 1;
-    Wire.Rejected (Printf.sprintf "unknown device %s" device)
+    Answered (Wire.Rejected (Printf.sprintf "unknown device %s" device))
   end
   else if seq < 1 then begin
     t.rejected <- t.rejected + 1;
-    Wire.Rejected "sequence numbers start at 1"
+    Answered (Wire.Rejected "sequence numbers start at 1")
   end
   else if Hashtbl.mem t.seen (device, seq) then begin
-    (* A retransmit of an already-durable report (the Ack was lost, or
-       the client outlived a crash we recovered from): re-acknowledge
+    (* A retransmit of a report already journaled (the Ack was lost, the
+       client outlived a crash we recovered from, or an earlier frame of
+       this batch carried it): re-acknowledge after the batch's commit,
        without touching the journal. *)
     t.deduped <- t.deduped + 1;
-    (* ralint: allow O1 — re-ack of a report (device, seq) already journaled
-       and committed before its first Ack; nothing new to make durable *)
-    Wire.Ack { device; seq }
+    Owed_ack (device, seq)
   end
   else if Queue.length t.queue >= t.config.capacity then begin
     t.shed <- t.shed + 1;
-    Wire.Busy { queued = Queue.length t.queue; capacity = t.config.capacity }
+    Answered (Wire.Busy { queued = Queue.length t.queue; capacity = t.config.capacity })
   end
   else
     (* Decoded once, here: bytes that do not decode are never journaled,
@@ -177,19 +184,15 @@ let submit t ~device ~seq report =
     match Ra_core.Report.decode report with
     | Error e ->
         t.rejected <- t.rejected + 1;
-        Wire.Rejected ("undecodable report: " ^ e)
+        Answered (Wire.Rejected ("undecodable report: " ^ e))
     | Ok decoded ->
-        (* Durable before acknowledged: the journal record and its commit
-           precede the Ack, so an Ack the client acted on is never lost to
-           a kill -9. *)
         J.append t.journal
           (Ev.make report_tag
              [ ("device", Ev.S device); ("seq", Ev.I seq); ("report", Ev.B report) ]);
-        J.commit t.journal;
         Hashtbl.replace t.seen (device, seq) ();
         Queue.add (device, seq, decoded) t.queue;
         t.accepted <- t.accepted + 1;
-        Wire.Ack { device; seq }
+        Owed_ack (device, seq)
 
 (* Drain the accepted queue through verification. Every dequeued report
    is verified on the domain pool (World.verify builds a fresh verifier
@@ -212,23 +215,44 @@ let drain ?jobs t =
   end;
   n
 
-let handle ?jobs t request =
+let decide ?jobs t request =
   match request with
   | Wire.Submit { device; seq; report } -> submit t ~device ~seq report
   | Wire.Fleet_health ->
       ignore (drain ?jobs t);
-      Wire.Health (World.health t.world)
+      Answered (Wire.Health (World.health t.world))
   | Wire.Quarantine device ->
       if World.quarantine t.world device then begin
         J.append t.journal (Ev.make quarantine_tag [ ("device", Ev.S device) ]);
-        J.commit t.journal;
-        Wire.Ack { device; seq = 0 }
+        Owed_ack (device, 0)
       end
       else begin
         t.rejected <- t.rejected + 1;
-        Wire.Rejected (Printf.sprintf "unknown device %s" device)
+        Answered (Wire.Rejected (Printf.sprintf "unknown device %s" device))
       end
   | Wire.Fleet_root ->
       ignore (drain ?jobs t);
-      Wire.Root (World.root t.world)
-  | Wire.Counters -> Wire.Stats (counters t)
+      Answered (Wire.Root (World.root t.world))
+  | Wire.Counters -> Answered (Wire.Stats (counters t))
+
+let admit ?jobs t request =
+  let answer = decide ?jobs t request in
+  t.answers <- answer :: t.answers
+
+(* Durable before acknowledged: one commit covers every record the batch
+   appended, and every Ack is built after it, so an Ack the client acts
+   on is never lost to a kill -9. *)
+let commit t =
+  J.commit t.journal;
+  let answers = List.rev t.answers in
+  t.answers <- [];
+  List.map
+    (function
+      | Owed_ack (device, seq) -> Wire.Ack { device; seq }
+      | Answered response -> response)
+    answers
+
+let handle ?jobs t request =
+  if t.answers <> [] then invalid_arg "Core.handle: a batch awaits its commit";
+  admit ?jobs t request;
+  List.hd (commit t)

@@ -9,10 +9,11 @@
     - the shed/accepted/deduped counters are a pure function of the
       request sequence, so overload behaviour is replayable per seed;
     - a kill -9 is survivable by construction: every accepted report is
-      journaled and committed {e before} its [Ack], and {!recover}
-      rebuilds the verdict table by re-verifying the journaled bytes
-      through {!Ra_journal.Journal.restart} — verdicts are recomputed,
-      never trusted from disk. *)
+      journaled and committed {e before} its [Ack] (one commit covers a
+      batch of {!admit}s, and only {!commit} hands out their answers),
+      and {!recover} rebuilds the verdict table by re-verifying the
+      journaled bytes through {!Ra_journal.Journal.restart} — verdicts
+      are recomputed, never trusted from disk. *)
 
 type config = {
   devices : int;  (** roster size (shared recipe with {!Loadgen}) *)
@@ -36,15 +37,28 @@ val recover : Ra_journal.Disk.t -> (t, string) result
     rebuilds the world, and each journaled report is re-verified to
     rebuild verdicts and the dedup set. [counters] restart with
     [accepted = recovered =] the replayed count; [shed]/[deduped]/
-    [rejected] are per-incarnation. *)
+    [rejected]/[commits] are per-incarnation. *)
+
+val admit : ?jobs:int -> t -> Wire.request -> unit
+(** Decide one request and hold its answer for the next {!commit}.
+    [Submit] journals a new report (appended, not yet committed) and
+    owes it an [Ack], owes a duplicate its re-[Ack], or sheds with
+    [Busy] when the queue is full; a report that does not decode is
+    [Rejected] (counted in [rejected]) before anything is journaled, and
+    an accepted one is queued decoded. [Quarantine] journals the order
+    and owes an [Ack]. [Fleet_health] and [Fleet_root] drain the queue
+    first, so their answers reflect every report admitted so far. *)
+
+val commit : t -> Wire.response list
+(** End a batch: one {!Ra_journal.Journal.commit} makes every record
+    admitted since the last commit durable (and syncs nothing when no
+    admit appended one), then every held answer is returned in admit
+    order, each [Ack] built only after that commit. *)
 
 val handle : ?jobs:int -> t -> Wire.request -> Wire.response
-(** Serve one request. [Submit] journals-then-acks, re-acks duplicates,
-    or sheds with [Busy] when the queue is full; a report that does not
-    decode is [Rejected] (counted in [rejected]) before anything is
-    journaled, and an accepted one is queued decoded. [Fleet_health] and
-    [Fleet_root] drain the queue first, so their answers reflect every
-    acknowledged report. *)
+(** {!admit} then {!commit} of one request: its answer, durable before
+    it is returned. Raises [Invalid_argument] if admits are waiting for
+    a commit. *)
 
 val drain : ?jobs:int -> t -> int
 (** Verify everything queued and fold the verdicts into the world;

@@ -68,6 +68,7 @@ type sim = {
   store : Ra_journal.Disk.Mem.store;
   disk : Ra_journal.Disk.t;
   mutable core : Core.t;
+  batch : Session.batch;
   conn_rng : Prng.t;  (* split per connection, in creation order *)
   crash_rng : Prng.t;
   clients : client array;
@@ -137,6 +138,9 @@ let deliver_due t c ~to_server =
       kills || ch.kills)
     false due
 
+(* Admit every connection's frames, then one commit answers them all. A
+   crash falls at a step's start, after the last step's commit, so it
+   never meets an admitted report that is not yet durable. *)
 let server_step t =
   List.iter
     (fun c ->
@@ -146,10 +150,11 @@ let server_step t =
           send t c ~to_server:false frame;
           true
         in
-        if (not (Session.serve t.core c.server_reader ~reply)) || reset then
+        if (not (Session.serve t.core t.batch c.server_reader ~reply)) || reset then
           kill_conn t c
       end)
-    (List.rev t.conns)
+    (List.rev t.conns);
+  Session.commit t.core t.batch
 
 let crash t =
   Ra_journal.Disk.Mem.crash ~rng:t.crash_rng t.store;
@@ -207,6 +212,7 @@ let run ?jobs config =
       store;
       disk;
       core;
+      batch = Session.batch ();
       conn_rng = Prng.create ~seed:(config.seed lxor 0x7e57);
       crash_rng = Prng.create ~seed:(config.seed lxor 0xdead);
       clients =

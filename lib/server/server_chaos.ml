@@ -60,7 +60,14 @@ let run_trial ?jobs ~devices ~reports_per_device ~capacity seed =
         outcome =
           {
             Netsim.counters =
-              { Wire.accepted = 0; shed = 0; deduped = 0; rejected = 0; recovered = 0 };
+              {
+                Wire.accepted = 0;
+                shed = 0;
+                deduped = 0;
+                rejected = 0;
+                recovered = 0;
+                commits = 0;
+              };
             root = Bytes.empty;
             tampered = 0;
             clean = 0;

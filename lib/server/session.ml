@@ -7,22 +7,56 @@ open Ra_core
    run the same retry arithmetic, and the deterministic gate covers the
    code the real server runs. *)
 
-(* --- server: one connection's readable step ----------------------------- *)
+(* --- server: admit every connection's frames, answer after the commit --- *)
 
-let serve core reader ~reply =
-  let rec pump () =
+(* A reply slot in frame order: an answer Core holds until its commit, or
+   the Rejected of a payload that never reached Core. *)
+type slot = Admitted | Answered of Wire.response
+
+(* connections served since the last commit, newest first, each with its
+   reply channel and its slots in frame order *)
+type batch = { mutable held : ((Bytes.t -> bool) * slot list) list }
+
+let batch () = { held = [] }
+
+let serve core batch reader ~reply =
+  let rec pump slots =
     match Frame.Reader.next reader with
-    | Frame.Reader.Await -> true
-    | Frame.Reader.Corrupt _ -> false
+    | Frame.Reader.Await -> (true, slots)
+    | Frame.Reader.Corrupt _ -> (false, slots)
     | Frame.Reader.Frame payload ->
-        let response =
+        let slot =
           match Wire.decode_request payload with
-          | Error msg -> Wire.Rejected msg
-          | Ok req -> Core.handle core req
+          | Error msg -> Answered (Wire.Rejected msg)
+          | Ok req ->
+              Core.admit core req;
+              Admitted
         in
-        reply (Frame.seal_stream (Wire.encode_response response)) && pump ()
+        pump (slot :: slots)
   in
-  pump ()
+  let open_, slots = pump [] in
+  if slots <> [] then batch.held <- (reply, List.rev slots) :: batch.held;
+  open_
+
+let commit core batch =
+  let answers = ref (Core.commit core) in
+  let next () =
+    match !answers with
+    | answer :: rest ->
+        answers := rest;
+        answer
+    | [] -> invalid_arg "Session.commit: fewer answers than admitted requests"
+  in
+  List.iter
+    (fun (reply, slots) ->
+      ignore
+        (List.fold_left
+           (fun open_ slot ->
+             let response = match slot with Admitted -> next () | Answered r -> r in
+             open_ && reply (Frame.seal_stream (Wire.encode_response response)))
+           true slots))
+    (List.rev batch.held);
+  batch.held <- []
 
 (* --- client: one device's submissions, RFC 6298 retry ------------------- *)
 

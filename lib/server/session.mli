@@ -1,5 +1,6 @@
-(** The session layer both transports share: the server's per-connection
-    step and the load generator's per-device retry machine.
+(** The session layer both transports share: the server's step (admit
+    each connection's requests, then one commit that answers them all)
+    and the load generator's per-device retry machine.
 
     Sans-IO: no socket, no clock. A driver ({!Netsim} in simulation,
     {!Tcp} on real sockets) feeds received bytes into a
@@ -9,15 +10,29 @@
     server-chaos gate runs the same code as [ratool serve] and
     [ratool loadgen]. *)
 
+(** {2 Server} *)
+
+type batch
+(** The replies of every connection served since the last {!commit},
+    held until the commit that covers them. *)
+
+val batch : unit -> batch
+
 val serve :
-  Core.t -> Ra_core.Frame.Reader.t -> reply:(Bytes.t -> bool) -> bool
-(** Answer every complete request frame buffered in the reader, in
-    order: decode it, {!Core.handle} it, and pass the sealed response
-    frame to [reply], which returns whether the connection is still open
-    (a [false] stops the step). An undecodable payload is answered with
-    [Rejected] and the next frame is still served. Returns [false] when
-    the connection must close: the stream is corrupt or [reply] said
-    so. *)
+  Core.t -> batch -> Ra_core.Frame.Reader.t -> reply:(Bytes.t -> bool) -> bool
+(** Admit every complete request frame buffered in the reader, in order:
+    decode it and {!Core.admit} it. Its reply is held in [batch] until
+    {!commit}. An undecodable payload is answered with [Rejected] in its
+    place, and the next frame is still admitted. Returns [false] when the
+    stream is corrupt and the connection must close. *)
+
+val commit : Core.t -> batch -> unit
+(** {!Core.commit}: one journal commit for every admit in the batch, and
+    only then each held reply, sealed, to its connection's [reply]:
+    connections in the order they were served, each one's replies in
+    frame order. A [reply] that returns [false] (the connection is gone)
+    is handed nothing more. A driver calls this once per iteration, after
+    serving every connection it read from. *)
 
 (** {2 Client} *)
 

@@ -9,10 +9,12 @@ open Ra_core
    - all accepted fds are non-blocking; reads happen only on
      select-readable fds, so a connection that stops mid-frame just
      parks its half-frame in its Reader;
-   - responses go through a per-connection out-buffer flushed on
-     select-writable, so a client that stops *reading* absorbs its own
-     backpressure (and is disconnected at a buffer cap) instead of
-     blocking the accept loop in write(2). *)
+   - one iteration is one batch: every readable connection's frames are
+     admitted, one journal commit covers them all, and only then do the
+     replies enter a per-connection out-buffer, written with one
+     non-blocking write per connection, so a client that stops *reading*
+     absorbs its own backpressure (and is disconnected at a buffer cap)
+     instead of blocking the accept loop in write(2). *)
 
 let chunk_size = 8192
 let out_cap = 4 * 1024 * 1024
@@ -45,9 +47,13 @@ let flush_conn c =
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error _ -> close_conn c
 
+(* Hold one reply for the iteration's flush, which sends a connection's
+   replies in one write. *)
 let queue_response c frame =
-  c.out <- Bytes.cat c.out frame;
-  if Bytes.length c.out > out_cap then close_conn c else flush_conn c;
+  if c.alive then begin
+    c.out <- Bytes.cat c.out frame;
+    if Bytes.length c.out > out_cap then close_conn c
+  end;
   c.alive
 
 let serve ?(host = "127.0.0.1") ?(config = Core.default_config) ?(fresh = false)
@@ -75,13 +81,14 @@ let serve ?(host = "127.0.0.1") ?(config = Core.default_config) ?(fresh = false)
     "ra-server: listening on %s:%d (devices=%d seed=%d capacity=%d recovered=%d)\n%!"
     host port cfg.Core.devices cfg.Core.seed cfg.Core.capacity c0.Wire.recovered;
   let conns = ref [] in
+  let batch = Session.batch () in
   let buf = Bytes.create chunk_size in
   let handle_readable c =
     match Unix.read c.fd buf 0 chunk_size with
     | 0 -> close_conn c
     | n ->
         Frame.Reader.feed c.reader ~len:n buf;
-        if not (Session.serve core c.reader ~reply:(queue_response c)) then
+        if not (Session.serve core batch c.reader ~reply:(queue_response c)) then
           close_conn c
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error _ -> close_conn c
@@ -93,7 +100,7 @@ let serve ?(host = "127.0.0.1") ?(config = Core.default_config) ?(fresh = false)
         (fun c -> if Bytes.length c.out > 0 then Some c.fd else None)
         !conns
     in
-    let readable, writable, _ =
+    let readable, _, _ =
       match Unix.select rds wrs [] 0.05 with
       | r -> r
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
@@ -101,9 +108,12 @@ let serve ?(host = "127.0.0.1") ?(config = Core.default_config) ?(fresh = false)
     List.iter
       (fun c -> if c.alive && List.mem c.fd readable then handle_readable c)
       !conns;
-    List.iter
-      (fun c -> if c.alive && List.mem c.fd writable then flush_conn c)
-      !conns;
+    (* one journal commit covers every report admitted above, and only
+       then are the replies queued; each connection with output gets one
+       write (output a slow reader left behind is retried here, and the
+       select above wakes for it) *)
+    Session.commit core batch;
+    List.iter (fun c -> if c.alive then flush_conn c) !conns;
     (* free the slots of closed connections, then empty the backlog: a
        full one drops SYNs, and the peer waits a second to retry *)
     conns := List.filter (fun c -> c.alive) !conns;
@@ -112,6 +122,9 @@ let serve ?(host = "127.0.0.1") ?(config = Core.default_config) ?(fresh = false)
       | fd, _ when List.length !conns >= max_conns -> close_fd fd; accept ()
       | fd, _ ->
           Unix.set_nonblock fd;
+          (* an Ack must not wait in Nagle's buffer for the client's
+             delayed ACK of the previous one *)
+          Unix.setsockopt fd Unix.TCP_NODELAY true;
           conns :=
             { fd; reader = Frame.Reader.create (); out = Bytes.empty; alive = true }
             :: !conns;
@@ -351,9 +364,9 @@ let render_campaign (c : campaign) =
   let p fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   p "loadgen: acked=%d retries=%d busy=%d reconnects=%d in %.2f s (%.0f reports/s)"
     c.acked c.retries c.busy c.reconnects c.wall_s c.reports_per_s;
-  p "  server: accepted=%d shed=%d deduped=%d rejected=%d recovered=%d"
+  p "  server: accepted=%d shed=%d deduped=%d rejected=%d recovered=%d commits=%d"
     c.stats.Wire.accepted c.stats.Wire.shed c.stats.Wire.deduped
-    c.stats.Wire.rejected c.stats.Wire.recovered;
+    c.stats.Wire.rejected c.stats.Wire.recovered c.stats.Wire.commits;
   p "  fleet:  clean=%d tampered=%d root=%s" c.clean c.tampered
     (Ra_crypto.Bytesutil.to_hex c.root);
   Buffer.contents b

@@ -6,10 +6,12 @@
     code {!Netsim} runs.
 
     The server is a single-threaded select(2) loop over non-blocking
-    connections: reads happen only on readable fds, responses drain
-    through per-connection out-buffers on writable fds, so a client that
-    stalls mid-frame or stops reading parks its own state without ever
-    blocking another session. Every decision
+    connections (with Nagle off): reads happen only on readable fds,
+    one {!Session.commit} per iteration journals every report the
+    iteration admitted with one fsync before any of its replies leaves,
+    and responses drain through per-connection out-buffers, so a client
+    that stalls mid-frame or stops reading parks its own state without
+    ever blocking another session. Every decision
     (shed/accept/dedup/journal/verdict) is {!Core}'s; kill -9 this
     process at any instant and a restart recovers through the journal.
 
@@ -49,7 +51,7 @@ type campaign = {
   tampered : int;
   clean : int;
   wall_s : float;
-  reports_per_s : float;  (** acked / wall — honest, fsync-per-report *)
+  reports_per_s : float;  (** acked / wall *)
 }
 
 val run_campaign :

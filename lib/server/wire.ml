@@ -18,6 +18,7 @@ type counters = {
   deduped : int;
   rejected : int;
   recovered : int;
+  commits : int;
 }
 
 type response =
@@ -111,7 +112,8 @@ let encode_response resp =
       Codec.i64 w c.shed;
       Codec.i64 w c.deduped;
       Codec.i64 w c.rejected;
-      Codec.i64 w c.recovered);
+      Codec.i64 w c.recovered;
+      Codec.i64 w c.commits);
   Codec.contents w
 
 let decode_response buf =
@@ -144,7 +146,8 @@ let decode_response buf =
           let deduped = Codec.read_i64 r in
           let rejected = Codec.read_i64 r in
           let recovered = Codec.read_i64 r in
-          Stats { accepted; shed; deduped; rejected; recovered }
+          let commits = Codec.read_i64 r in
+          Stats { accepted; shed; deduped; rejected; recovered; commits }
       | t -> Codec.fail (Printf.sprintf "unknown response tag %d" t)
     in
     Codec.expect_end r;
@@ -160,5 +163,5 @@ let response_to_string = function
   | Health entries -> Printf.sprintf "health (%d devices)" (List.length entries)
   | Root root -> Printf.sprintf "root %s" (Ra_crypto.Bytesutil.to_hex root)
   | Stats c ->
-      Printf.sprintf "accepted=%d shed=%d deduped=%d rejected=%d recovered=%d"
-        c.accepted c.shed c.deduped c.rejected c.recovered
+      Printf.sprintf "accepted=%d shed=%d deduped=%d rejected=%d recovered=%d commits=%d"
+        c.accepted c.shed c.deduped c.rejected c.recovered c.commits

@@ -24,6 +24,7 @@ type counters = {
   deduped : int;  (** retransmits re-acknowledged without re-journaling *)
   rejected : int;  (** malformed or unknown-device submissions *)
   recovered : int;  (** reports replayed out of the journal at restart *)
+  commits : int;  (** journal syncs since this start *)
 }
 
 type response =

@@ -9,11 +9,13 @@
 # The gate requires the reference root to equal the pinned one (so a change
 # that moves the real-socket result fails here, not only in comparison
 # with itself), the victim's recovered fleet Merkle root and accepted
-# count to be bit-identical to the reference, and that the restart really
-# replayed journaled reports (recovered > 0 — i.e. the kill landed inside
-# the ingest window, not before or after it). The kill instant is wall
-# clock, so a whole attempt is retried a few times if the window is
-# missed; the root comparison itself is exact, never tolerance-based.
+# count to be bit-identical to the reference, and that the kill landed
+# inside the ingest window: the restart replayed journaled reports
+# (recovered > 0) and still had reports to take (recovered < accepted).
+# The kill is triggered by progress, not by a timer: once the victim's
+# journal has grown past a quarter of the reference run's, however fast
+# the server ingests. An attempt that misses the window is retried a few
+# times; the root comparison itself is exact, never tolerance-based.
 set -eu
 
 RATOOL=_build/default/bin/ratool.exe
@@ -31,6 +33,7 @@ rm -rf "$WORK"
 mkdir -p "$WORK"
 
 root_of() { sed -n 's/.*root=\([0-9a-f]*\).*/\1/p' "$1" | head -n 1; }
+size_of() { if [ -f "$1" ]; then wc -c <"$1"; else echo 0; fi; }
 field_of() { sed -n "s/.*$2=\([0-9]*\).*/\1/p" "$1" | head -n 1; }
 
 loadgen() {
@@ -48,17 +51,25 @@ trap 'kill -9 $REF_PID 2>/dev/null || true; kill -9 ${KILL_PID:-0} 2>/dev/null |
 loadgen $PORT_REF "$WORK/ref-loadgen.log"
 REF_ROOT=$(root_of "$WORK/ref-loadgen.log")
 REF_ACCEPTED=$(field_of "$WORK/ref-loadgen.log" accepted)
+REF_COMMITS=$(field_of "$WORK/ref-loadgen.log" commits)
 kill -9 $REF_PID 2>/dev/null || true
 wait $REF_PID 2>/dev/null || true
+# the victim is killed once its journal passes a quarter of this size
+KILL_AT=$(($(size_of "$WORK/ref/wal") / 4))
 
 [ -n "$REF_ROOT" ] || { echo "server_kill_gate: no root in reference run" >&2; exit 1; }
-echo "reference: accepted=$REF_ACCEPTED root=$REF_ROOT"
+echo "reference: accepted=$REF_ACCEPTED commits=$REF_COMMITS root=$REF_ROOT"
 if [ "$REF_ROOT" != "$PINNED_ROOT" ]; then
   echo "server_kill_gate: reference root moved from the pinned $PINNED_ROOT" >&2
   exit 1
 fi
 
 # --- victim: kill -9 mid-ingest, restart, same journal -------------------
+# the restart replayed journaled reports and still had some to take
+mid_ingest() {
+  [ "${RECOVERED:-0}" -gt 0 ] && [ "${RECOVERED:-0}" -lt "${VICTIM_ACCEPTED:-0}" ]
+}
+
 attempt=1
 while [ $attempt -le 3 ]; do
   rm -rf "$WORK/victim"
@@ -69,8 +80,14 @@ while [ $attempt -le 3 ]; do
   loadgen $PORT_KILL "$WORK/victim-loadgen.log" &
   LOADGEN_PID=$!
 
-  # let ingest start, then murder the server with reports still in flight
-  sleep 1
+  # let a quarter of the ingest land, then murder the server with reports
+  # still in flight (polls every 50 ms, for at most 60 s)
+  polls=0
+  while [ "$(size_of "$WORK/victim/wal")" -le $KILL_AT ] &&
+    [ $polls -lt 1200 ]; do
+    sleep 0.05
+    polls=$((polls + 1))
+  done
   kill -9 $KILL_PID 2>/dev/null || true
   wait $KILL_PID 2>/dev/null || true
 
@@ -89,20 +106,21 @@ while [ $attempt -le 3 ]; do
   wait $KILL_PID 2>/dev/null || true
 
   RECOVERED=$(field_of "$WORK/victim-loadgen.log" recovered)
-  if [ "${RECOVERED:-0}" -gt 0 ]; then
+  VICTIM_ACCEPTED=$(field_of "$WORK/victim-loadgen.log" accepted)
+  if mid_ingest; then
     break
   fi
-  echo "attempt $attempt: kill missed the ingest window (recovered=0), retrying"
+  echo "attempt $attempt: kill missed the ingest window" \
+    "(recovered=${RECOVERED:-0} accepted=${VICTIM_ACCEPTED:-0}), retrying"
   attempt=$((attempt + 1))
 done
 
-[ "${RECOVERED:-0}" -gt 0 ] || {
+mid_ingest || {
   echo "server_kill_gate: never killed mid-ingest in 3 attempts" >&2
   exit 1
 }
 
 VICTIM_ROOT=$(root_of "$WORK/victim-loadgen.log")
-VICTIM_ACCEPTED=$(field_of "$WORK/victim-loadgen.log" accepted)
 echo "victim:    accepted=$VICTIM_ACCEPTED recovered=$RECOVERED root=$VICTIM_ROOT"
 
 if [ "$VICTIM_ROOT" != "$REF_ROOT" ]; then

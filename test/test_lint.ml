@@ -466,6 +466,22 @@ let o_positive () =
              "let submit j d ok =\n\
              \  if ok then begin J.append j d; J.commit j end;\n\
              \  Wire.Ack d\n")));
+  check rules_testable "Ack built for a pending entry before the commit fires O1"
+    [ "O1" ]
+    (sorted_rules
+       (plint
+          (core_file
+             "let commit t j =\n\
+             \  let answers = List.map (fun d -> Wire.Ack d) t.owed in\n\
+             \  J.commit j;\n\
+             \  answers\n")));
+  check rules_testable "Ack below a conditional commit fires O1" [ "O1" ]
+    (sorted_rules
+       (plint
+          (core_file
+             "let commit t j =\n\
+             \  if t.dirty then J.commit j;\n\
+             \  List.map (fun d -> Wire.Ack d) t.owed\n")));
   check rules_testable "Journal.restart without ~validate fires O2" [ "O2" ]
     (sorted_rules
        (plint (core_file "let recover disk = J.restart disk ~keep:3\n")))
@@ -496,6 +512,17 @@ let o_negative () =
              \  if not ok then failwith \"bad\"\n\
              \  else begin J.append j d; J.commit j end;\n\
              \  Wire.Ack d\n")));
+  check rules_testable "Acks after an unconditional commit in a batch function are clean"
+    []
+    (sorted_rules
+       (plint
+          (core_file
+             "let admit t j d = J.append j d; t.owed <- d :: t.owed\n\
+              let commit t j =\n\
+             \  J.commit j;\n\
+             \  let owed = List.rev t.owed in\n\
+             \  t.owed <- [];\n\
+             \  List.map (fun d -> Wire.Ack d) owed\n")));
   check rules_testable "Ack outside lib/server Core is out of scope" []
     (sorted_rules
        (plint [ ("bin/loadgen.ml", "let expect d = Wire.Ack d\n") ]));

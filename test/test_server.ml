@@ -1,7 +1,8 @@
 (* Tests for the attestation control plane: wire codec round trips, the
    deterministic server core (bounded queue, shedding, dedup, journaled
    ingest), crash recovery through Journal.restart, the sans-IO session
-   machines both transports run, simulated-network campaigns under stream
+   machines both transports run, every crash point inside one
+   group-commit batch, simulated-network campaigns under stream
    faults (determinism per seed, invariance across --jobs, restart root
    bit-identity, the pinned server-chaos bytes), and the real-TCP driver
    (a stalled client must not block other sessions; more connections than
@@ -60,7 +61,7 @@ let arb_response =
               (string_of_size (Gen.int_bound 12))));
       map (fun r -> Wire.Root (Bytes.of_string r)) (string_of_size (Gen.int_bound 32));
       map
-        (fun (a, b, c, d, e) ->
+        (fun (a, b, c, d, e, f) ->
           Wire.Stats
             {
               Wire.accepted = abs a;
@@ -68,8 +69,9 @@ let arb_response =
               deduped = abs c;
               rejected = abs d;
               recovered = abs e;
+              commits = abs f;
             })
-        (tup5 small_int small_int small_int small_int small_int);
+        (tup6 small_int small_int small_int small_int small_int small_int);
     ]
 
 let prop_response_roundtrip =
@@ -143,11 +145,13 @@ let sealed_response resp = Frame.seal_stream (Wire.encode_response resp)
 (* Run one server step over [reader], collecting the replies. *)
 let serve_step core reader =
   let replies = ref [] in
+  let batch = Session.batch () in
   let open_ =
-    Session.serve core reader ~reply:(fun frame ->
+    Session.serve core batch reader ~reply:(fun frame ->
         replies := frame :: !replies;
         true)
   in
+  Session.commit core batch;
   (open_, List.rev !replies)
 
 let test_serve_every_split () =
@@ -295,6 +299,188 @@ let test_client_lost_resends () =
   check seq_opt "held for one RTO" None (sent (Session.poll c ~now:(10 + h - 1)));
   check seq_opt "resent after one RTO" (Some 1) (sent (Session.poll c ~now:(10 + h)));
   check Alcotest.int "counted as a retry" 1 (Session.retries c)
+
+(* --- crash points inside one batch ------------------------------------- *)
+
+exception Stopped
+
+(* What a run did, newest first: every mutating disk op and every reply
+   handed out. The op after [stop_after] ops stops the process instead. *)
+type tape = {
+  mutable entries : string list;
+  mutable ops : int;
+  mutable stop_after : int;
+}
+
+let taped tape (d : Disk.t) =
+  let op name f =
+    if tape.ops >= tape.stop_after then raise Stopped;
+    tape.ops <- tape.ops + 1;
+    tape.entries <- name :: tape.entries;
+    f ()
+  in
+  {
+    d with
+    Disk.write = (fun f b -> op ("write " ^ f) (fun () -> d.Disk.write f b));
+    append = (fun f b -> op ("append " ^ f) (fun () -> d.Disk.append f b));
+    truncate = (fun f n -> op ("truncate " ^ f) (fun () -> d.Disk.truncate f n));
+    sync = (fun f -> op ("sync " ^ f) (fun () -> d.Disk.sync f));
+    rename = (fun a b -> op ("rename " ^ a) (fun () -> d.Disk.rename a b));
+    remove = (fun f -> op ("remove " ^ f) (fun () -> d.Disk.remove f));
+    sync_dir = (fun () -> op "sync_dir" d.Disk.sync_dir);
+  }
+
+let batch_config = { Core.devices = 8; seed = 7; capacity = 4 }
+let batch_items = Loadgen.by_device ~devices:8 ~seed:7 ~reports_per_device:1
+let item i = batch_items.(i).(0)
+let submit i =
+  let { Loadgen.device; seq; report } = item i in
+  Wire.Submit { device; seq; report }
+
+(* Serve one batch of [conns] (each a request list, one reader each) and
+   commit it. Returns each connection's replies, in order; an Ack is also
+   added to [acked] and every reply is logged on [tape]. *)
+let serve_batch core tape acked conns =
+  let batch = Session.batch () in
+  let replies =
+    List.map
+      (fun requests ->
+        let reader = Frame.Reader.create () in
+        List.iter
+          (fun req ->
+            Frame.Reader.feed reader (Frame.seal_stream (Wire.encode_request req)))
+          requests;
+        let got = ref [] in
+        let reply frame =
+          let r = Frame.Reader.create () in
+          Frame.Reader.feed r frame;
+          (match Frame.Reader.next r with
+          | Frame.Reader.Frame p -> (
+              match Wire.decode_response p with
+              | Ok resp ->
+                  tape.entries <- "reply" :: tape.entries;
+                  (match resp with
+                  | Wire.Ack { device; seq } -> acked := (device, seq) :: !acked
+                  | _ -> ());
+                  got := resp :: !got
+              | Error e -> Alcotest.failf "reply does not decode: %s" e)
+          | _ -> Alcotest.fail "reply is not one frame");
+          true
+        in
+        if not (Session.serve core batch reader ~reply) then
+          Alcotest.fail "a batch connection closed";
+        got)
+      conns
+  in
+  Session.commit core batch;
+  List.map (fun got -> List.rev !got) replies
+
+(* Report 0 is committed in an earlier batch. The batch under test, from
+   three connections into a queue of 4: submits 1 and 2 and a resend of
+   0; submit 3, a duplicate of 1 and submit 4 (the queue is full);
+   submit 5 past capacity, a Fleet_root (which drains the queue) and
+   submit 6. *)
+let batch_conns =
+  [ [ submit 1; submit 2; submit 0 ]; [ submit 3; submit 1; submit 4 ];
+    [ submit 5; Wire.Fleet_root; submit 6 ] ]
+
+let run_batch ~stop_after =
+  let store = Disk.Mem.create () in
+  let tape = { entries = []; ops = 0; stop_after = max_int } in
+  let core = Core.create ~config:batch_config (taped tape (Disk.Mem.disk store)) in
+  let acked = ref [] in
+  ignore (serve_batch core tape acked [ [ submit 0 ] ]);
+  ignore (Core.drain core);
+  tape.entries <- [];
+  tape.ops <- 0;
+  tape.stop_after <- stop_after;
+  let replies =
+    match serve_batch core tape acked batch_conns with
+    | replies -> Some replies
+    | exception Stopped -> None
+  in
+  (store, core, tape, !acked, replies)
+
+let journaled_reports disk =
+  match Ra_journal.Journal.recover disk with
+  | Error e -> Alcotest.failf "journal unreadable after recovery: %s" e
+  | Ok r ->
+      Array.to_list r.Ra_journal.Journal.events
+      |> List.filter_map (fun ev ->
+             match
+               (ev.Ra_journal.Event.tag, Ra_journal.Event.find_s ev "device",
+                Ra_journal.Event.find_i ev "seq")
+             with
+             | "report", Some device, Some seq ->
+                 Some (device, seq, Ra_journal.Event.getb ev "report")
+             | _ -> None)
+
+let test_batch_replies () =
+  let _, _, tape, _, replies = run_batch ~stop_after:max_int in
+  let ack i = Wire.Ack { device = (item i).Loadgen.device; seq = 1 } in
+  (match replies with
+  | Some [ c1; c2; [ busy; Wire.Root _; last ] ] ->
+      if c1 <> [ ack 1; ack 2; ack 0 ] then Alcotest.fail "connection 1 answered wrong";
+      if c2 <> [ ack 3; ack 1; ack 4 ] then Alcotest.fail "connection 2 answered wrong";
+      (match busy with
+      | Wire.Busy { queued = 4; capacity = 4 } -> ()
+      | r ->
+          Alcotest.failf "submit past capacity answered %s" (Wire.response_to_string r));
+      if last <> ack 6 then Alcotest.fail "submit after the drain not acked"
+  | _ -> Alcotest.fail "the batch did not answer every request");
+  let log = List.rev tape.entries in
+  check Alcotest.int "one sync for the batch" 1
+    (List.length (List.filter (fun e -> e = "sync wal") log));
+  check Alcotest.int "one append per new report" 5
+    (List.length (List.filter (fun e -> e = "append wal") log));
+  let rec before_sync = function
+    | [] -> Alcotest.fail "the batch never synced"
+    | "sync wal" :: _ -> ()
+    | "reply" :: _ -> Alcotest.fail "a reply was handed out before the WAL sync"
+    | _ :: rest -> before_sync rest
+  in
+  before_sync log
+
+let test_batch_without_append () =
+  let _, core, tape, _, _ = run_batch ~stop_after:max_int in
+  tape.entries <- [];
+  let replies =
+    serve_batch core tape (ref []) [ [ submit 1; Wire.Counters ]; [ Wire.Fleet_root ] ]
+  in
+  check Alcotest.int "every request answered" 3 (List.length (List.concat replies));
+  check Alcotest.(list string) "no disk op" [ "reply"; "reply"; "reply" ] tape.entries
+
+let test_batch_crash_points () =
+  let _, _, full, _, _ = run_batch ~stop_after:max_int in
+  for k = 0 to full.ops do
+    for seed = 1 to 8 do
+      let store, _, _, acked, _ = run_batch ~stop_after:k in
+      Disk.Mem.crash ~rng:(Prng.create ~seed) store;
+      let disk = Disk.Mem.disk store in
+      let recovered =
+        match Core.recover disk with
+        | Ok core -> core
+        | Error e -> Alcotest.failf "k=%d seed=%d: recovery failed: %s" k seed e
+      in
+      let reports = journaled_reports disk in
+      List.iter
+        (fun (device, seq) ->
+          if not (List.exists (fun (d, s, _) -> d = device && s = seq) reports) then
+            Alcotest.failf "k=%d seed=%d: acked %s#%d was lost" k seed device seq)
+        acked;
+      let reference =
+        Core.create ~config:batch_config (Disk.Mem.disk (Disk.Mem.create ()))
+      in
+      List.iter
+        (fun (device, seq, report) ->
+          ignore (Core.handle reference (Wire.Submit { device; seq; report }));
+          ignore (Core.drain reference))
+        reports;
+      if not (Bytes.equal (Core.root recovered) (Core.root reference)) then
+        Alcotest.failf "k=%d seed=%d: recovered root differs from its reports' root" k
+          seed
+    done
+  done
 
 (* --- netsim campaigns ---------------------------------------------------- *)
 
@@ -538,6 +724,12 @@ let () =
             test_client_rejected_retires;
           Alcotest.test_case "lost connection resends" `Quick
             test_client_lost_resends;
+        ] );
+      ( "batch",
+        [
+          Alcotest.test_case "replies after one sync" `Quick test_batch_replies;
+          Alcotest.test_case "no append, no sync" `Quick test_batch_without_append;
+          Alcotest.test_case "every crash point" `Quick test_batch_crash_points;
         ] );
       ( "netsim",
         [
