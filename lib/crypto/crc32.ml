@@ -17,14 +17,15 @@ let table =
   String.init 1024 (fun i ->
       Char.chr ((entry (i / 4) lsr (8 * (i land 3))) land 0xff))
 
-let update crc payload =
+let update crc b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Crc32.update: slice out of bounds";
   let crc = ref (crc lxor 0xFFFFFFFF) in
-  Bytes.iter
-    (fun byte ->
-      let i = (!crc lxor Char.code byte) land 0xff in
-      let word = Int32.to_int (String.get_int32_le table (4 * i)) in
-      crc := (word land 0xFFFFFFFF) lxor (!crc lsr 8))
-    payload;
+  for k = pos to pos + len - 1 do
+    let i = (!crc lxor Char.code (Bytes.get b k)) land 0xff in
+    let word = Int32.to_int (String.get_int32_le table (4 * i)) in
+    crc := (word land 0xFFFFFFFF) lxor (!crc lsr 8)
+  done;
   !crc lxor 0xFFFFFFFF
 
-let digest payload = update 0 payload
+let digest payload = update 0 payload ~pos:0 ~len:(Bytes.length payload)

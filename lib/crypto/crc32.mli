@@ -10,5 +10,9 @@ val digest : Bytes.t -> int
 (** The CRC of a payload, in [\[0, 2^32)]. [digest "123456789"] is
     [0xCBF43926]. *)
 
-val update : int -> Bytes.t -> int
-(** Streaming form: [update (update 0 a) b = digest (a ^ b)]. *)
+val update : int -> Bytes.t -> pos:int -> len:int -> int
+(** Streaming form over the slice [\[pos, pos + len)] of a buffer, read in
+    place: [update 0 b ~pos ~len = digest (Bytes.sub b pos len)], and
+    chaining [update (update 0 a ~pos:0 ~len:la) b ~pos:0 ~len:lb] is
+    [digest (a ^ b)]. Raises [Invalid_argument] when the slice is not
+    within [b]. *)

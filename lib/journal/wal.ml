@@ -13,7 +13,7 @@ let encode ~seq payload =
   Bytesutil.store32_be b 2 seq;
   Bytesutil.store32_be b 6 n;
   Bytes.blit payload 0 b header_len n;
-  let crc = Crc32.digest (Bytes.sub b 0 (header_len + n)) in
+  let crc = Crc32.update 0 b ~pos:0 ~len:(header_len + n) in
   Bytesutil.store32_be b (header_len + n) crc;
   b
 
@@ -46,7 +46,7 @@ let scan ?(first_seq = 1) buf =
       else if len - p < header_len + n + 4 then
         stop (Printf.sprintf "torn record body at offset %d" p)
       else begin
-        let crc = Crc32.digest (Bytes.sub buf p (header_len + n)) in
+        let crc = Crc32.update 0 buf ~pos:p ~len:(header_len + n) in
         let stored = Bytesutil.load32_be buf (p + header_len + n) in
         if crc <> stored then
           stop (Printf.sprintf "CRC mismatch at offset %d" p)

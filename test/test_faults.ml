@@ -115,7 +115,25 @@ let test_crc32_vectors () =
   let a = Bytes.of_string "1234" and b = Bytes.of_string "56789" in
   check Alcotest.int "streaming = one-shot"
     (Ra_crypto.Crc32.digest (Bytes.of_string "123456789"))
-    (Ra_crypto.Crc32.update (Ra_crypto.Crc32.update 0 a) b)
+    (Ra_crypto.Crc32.update (Ra_crypto.Crc32.update 0 a ~pos:0 ~len:4) b ~pos:0 ~len:5);
+  Alcotest.check_raises "slice past the end"
+    (Invalid_argument "Crc32.update: slice out of bounds")
+    (fun () -> ignore (Ra_crypto.Crc32.update 0 a ~pos:1 ~len:4))
+
+(* A random slice, the whole buffer and an empty slice of each buffer. *)
+let prop_crc32_slice =
+  QCheck.Test.make ~name:"crc32 slice = digest of sub" ~count:300
+    QCheck.(triple (string_of_size Gen.(0 -- 64)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let buf = Bytes.of_string s in
+      let n = Bytes.length buf in
+      let pos = a mod (n + 1) in
+      let len = b mod (n - pos + 1) in
+      List.for_all
+        (fun (pos, len) ->
+          Ra_crypto.Crc32.update 0 buf ~pos ~len
+          = Ra_crypto.Crc32.digest (Bytes.sub buf pos len))
+        [ (pos, len); (0, n); (pos, 0) ])
 
 let test_frame_roundtrip () =
   let payload = Bytes.of_string "attestation report bytes" in
@@ -814,6 +832,7 @@ let () =
       ( "framing",
         [
           Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
+          qtest prop_crc32_slice;
           Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
           qtest prop_single_bit_flip_always_detected;
           qtest prop_frame_truncation_clean_error;
