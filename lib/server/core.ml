@@ -80,11 +80,32 @@ let create ?(config = default_config) disk =
   J.commit j;
   make config world j
 
-(* Replay one journaled mutation during recovery. Verification is
-   deterministic, so re-verifying the journaled report bytes rebuilds the
-   exact verdict table the pre-crash server held — verdicts themselves
-   are never journaled. *)
-let replay_event t ev =
+(* Recovery's first pass: the event index of each device's newest
+   journaled report, ties to the later record as [World.record]'s [>=]
+   breaks them. Records the second pass rejects are skipped here. *)
+let newest_reports events =
+  let newest = Hashtbl.create 1024 in
+  for i = 1 to Array.length events - 1 do
+    let ev = events.(i) in
+    if ev.Ev.tag = report_tag then
+      match (Ev.find_s ev "device", Ev.find_i ev "seq") with
+      | Some device, Some seq -> (
+          match Hashtbl.find_opt newest device with
+          | Some (newer, _) when newer > seq -> ()
+          | _ -> Hashtbl.replace newest device (seq, i))
+      | _ -> ()
+  done;
+  newest
+
+(* Replay one journaled mutation during recovery, the second pass. Every
+   record is checked and decoded, so a damaged one fails here in journal
+   order, and every report rebuilds the dedup set and the counters. Only
+   each device's newest report is queued for [drain]: the verdict table
+   keeps the highest seq, so a superseded report's verdict is one
+   [World.record] would discard. Verification is deterministic, so
+   re-verifying the newest bytes rebuilds the exact verdict table the
+   pre-crash server held; verdicts themselves are never journaled. *)
+let replay_event t ~newest i ev =
   if ev.Ev.tag = report_tag then begin
     match (Ev.find_s ev "device", Ev.find_i ev "seq") with
     | Some device, Some seq -> (
@@ -96,8 +117,8 @@ let replay_event t ev =
         | _ when not (World.known t.world device) -> fail "unknown device"
         | Error e -> fail ("undecodable report: " ^ e)
         | Ok report ->
-            let verdict, mac = World.verify t.world ~device report in
-            World.record t.world ~device ~seq verdict mac;
+            if Hashtbl.find_opt newest device = Some (seq, i) then
+              Queue.add (device, seq, report) t.queue;
             Hashtbl.replace t.seen (device, seq) ();
             t.accepted <- t.accepted + 1;
             t.recovered <- t.recovered + 1;
@@ -112,35 +133,6 @@ let replay_event t ev =
     | None -> Error "malformed quarantine record"
   end
   else Ok ()
-
-let recover disk =
-  let ctx = ref None in
-  let validate (r : J.recovery) ~keep:_ =
-    match parse_header r.J.events with
-    | Error _ as e -> e
-    | Ok config ->
-        ctx := Some (config, r.J.events);
-        Ok ()
-  in
-  (* Every acknowledged event is a consistency point for the server —
-     unlike the supervisor there are no multi-event rounds to roll back
-     to, so keep the whole decodable log. *)
-  match J.restart ~validate disk ~keep:(fun r -> Array.length r.J.events) with
-  | Error _ as e -> e
-  | Ok (_, journal) -> (
-      match !ctx with
-      | None -> Error "restart validated but captured no header (bug)"
-      | Some (config, events) ->
-          let world = World.build ~devices:config.devices ~seed:config.seed in
-          let t = make config world journal in
-          let rec replay i =
-            if i >= Array.length events then Ok t
-            else
-              match replay_event t events.(i) with
-              | Ok () -> replay (i + 1)
-              | Error _ as e -> e
-          in
-          replay 1)
 
 let config t = t.config
 let world t = t.world
@@ -214,6 +206,39 @@ let drain ?jobs t =
       batch verified
   end;
   n
+
+let recover ?jobs disk =
+  let ctx = ref None in
+  let validate (r : J.recovery) ~keep:_ =
+    match parse_header r.J.events with
+    | Error _ as e -> e
+    | Ok config ->
+        ctx := Some (config, r.J.events);
+        Ok ()
+  in
+  (* Every acknowledged event is a consistency point for the server —
+     unlike the supervisor there are no multi-event rounds to roll back
+     to, so keep the whole decodable log. *)
+  match J.restart ~validate disk ~keep:(fun r -> Array.length r.J.events) with
+  | Error _ as e -> e
+  | Ok (_, journal) -> (
+      match !ctx with
+      | None -> Error "restart validated but captured no header (bug)"
+      | Some (config, events) ->
+          let world = World.build ~devices:config.devices ~seed:config.seed in
+          let t = make config world journal in
+          let newest = newest_reports events in
+          let rec replay i =
+            if i >= Array.length events then begin
+              ignore (drain ?jobs t);
+              Ok t
+            end
+            else
+              match replay_event t ~newest i events.(i) with
+              | Ok () -> replay (i + 1)
+              | Error _ as e -> e
+          in
+          replay 1)
 
 let decide ?jobs t request =
   match request with

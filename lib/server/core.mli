@@ -11,9 +11,10 @@
     - a kill -9 is survivable by construction: every accepted report is
       journaled and committed {e before} its [Ack] (one commit covers a
       batch of {!admit}s, and only {!commit} hands out their answers),
-      and {!recover} rebuilds the verdict table by re-verifying the
-      journaled bytes through {!Ra_journal.Journal.restart} — verdicts
-      are recomputed, never trusted from disk. *)
+      and {!recover} rebuilds the verdict table from the journaled bytes
+      through {!Ra_journal.Journal.restart}: it checks every journaled
+      record and re-verifies each device's newest report through
+      {!drain} — verdicts are recomputed, never trusted from disk. *)
 
 type config = {
   devices : int;  (** roster size (shared recipe with {!Loadgen}) *)
@@ -31,11 +32,18 @@ val create : ?config:config -> Ra_journal.Disk.t -> t
     discarded); the header record pins the config so recovery needs no
     side channel. Raises [Invalid_argument] when [capacity < 1]. *)
 
-val recover : Ra_journal.Disk.t -> (t, string) result
+val recover : ?jobs:int -> Ra_journal.Disk.t -> (t, string) result
 (** Restart after a crash: {!Ra_journal.Journal.restart} keeps every
-    decodable acknowledged event (tail damage is truncated), the header
-    rebuilds the world, and each journaled report is re-verified to
-    rebuild verdicts and the dedup set. [counters] restart with
+    decodable acknowledged event (tail damage is truncated) and the
+    header rebuilds the world. Every journaled record is then replayed
+    in order: each report is checked and decoded (a damaged record is an
+    [Error] naming it) and rebuilds the dedup set and the counters, and
+    each quarantine is applied. Only each device's newest report (highest
+    [seq], the later record on a tie) is queued, and one {!drain} with
+    [jobs] verifies them: a superseded report is checked and deduped but
+    never verified, since the verdict table keeps only the newest.
+    Restart verification is O(devices) and the scan O(records). The
+    result's queue is empty. [counters] restart with
     [accepted = recovered =] the replayed count; [shed]/[deduped]/
     [rejected]/[commits] are per-incarnation. *)
 

@@ -156,11 +156,11 @@ let server_step t =
     (List.rev t.conns);
   Session.commit t.core t.batch
 
-let crash t =
+let crash ?jobs t =
   Ra_journal.Disk.Mem.crash ~rng:t.crash_rng t.store;
   List.iter (fun c -> kill_conn t c) t.conns;
   t.conns <- [];
-  match Core.recover t.disk with
+  match Core.recover ?jobs t.disk with
   | Ok core ->
       t.core <- core;
       t.restarts <- t.restarts + 1;
@@ -235,7 +235,7 @@ let run ?jobs config =
       t.now <- t.now + 1;
       let crashed =
         match config.crash_at with
-        | Some at when at = t.now -> crash t
+        | Some at when at = t.now -> crash ?jobs t
         | _ -> Ok ()
       in
       match crashed with
