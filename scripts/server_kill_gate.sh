@@ -16,6 +16,13 @@
 # journal has grown past a quarter of the reference run's, however fast
 # the server ingests. An attempt that misses the window is retried a few
 # times; the root comparison itself is exact, never tolerance-based.
+# Before the victim, the reference server is restarted over its own
+# complete journal, where nine of every ten reports are superseded by a
+# later one of the same device, and the same plan is rerun against it:
+# the restart must rebuild the pinned root and recover every report, and
+# the rerun must find each one already journaled: nothing newly accepted,
+# every report deduped (a client retransmit is deduped again, so at
+# least once each) and no commit.
 set -eu
 
 RATOOL=_build/default/bin/ratool.exe
@@ -46,7 +53,9 @@ loadgen() {
 "$RATOOL" serve --port $PORT_REF --dir "$WORK/ref" --devices $DEVICES \
   --seed $SEED >"$WORK/ref-server.log" 2>&1 &
 REF_PID=$!
-trap 'kill -9 $REF_PID 2>/dev/null || true; kill -9 ${KILL_PID:-0} 2>/dev/null || true' EXIT
+# (no victim yet: `kill -9 0` would kill this script's own process group)
+trap 'kill -9 $REF_PID 2>/dev/null || true
+  [ -z "${KILL_PID:-}" ] || kill -9 $KILL_PID 2>/dev/null || true' EXIT
 
 loadgen $PORT_REF "$WORK/ref-loadgen.log"
 REF_ROOT=$(root_of "$WORK/ref-loadgen.log")
@@ -61,6 +70,37 @@ KILL_AT=$(($(size_of "$WORK/ref/wal") / 4))
 echo "reference: accepted=$REF_ACCEPTED commits=$REF_COMMITS root=$REF_ROOT"
 if [ "$REF_ROOT" != "$PINNED_ROOT" ]; then
   echo "server_kill_gate: reference root moved from the pinned $PINNED_ROOT" >&2
+  exit 1
+fi
+
+# --- restart over the complete reference journal, same plan again ---------
+"$RATOOL" serve --port $PORT_REF --dir "$WORK/ref" --devices $DEVICES \
+  --seed $SEED >"$WORK/ref-server2.log" 2>&1 &
+REF_PID=$!
+loadgen $PORT_REF "$WORK/rerun-loadgen.log"
+kill -9 $REF_PID 2>/dev/null || true
+wait $REF_PID 2>/dev/null || true
+RERUN_ROOT=$(root_of "$WORK/rerun-loadgen.log")
+RERUN_ACCEPTED=$(field_of "$WORK/rerun-loadgen.log" accepted)
+RERUN_RECOVERED=$(field_of "$WORK/rerun-loadgen.log" recovered)
+RERUN_DEDUPED=$(field_of "$WORK/rerun-loadgen.log" deduped)
+RERUN_COMMITS=$(field_of "$WORK/rerun-loadgen.log" commits)
+RERUN_RETRIES=$(field_of "$WORK/rerun-loadgen.log" retries)
+echo "restart:   recovered=$RERUN_RECOVERED deduped=$RERUN_DEDUPED" \
+  "retries=$RERUN_RETRIES commits=$RERUN_COMMITS root=$RERUN_ROOT"
+if [ "$RERUN_ROOT" != "$PINNED_ROOT" ]; then
+  echo "server_kill_gate: restart over the complete journal moved the root" >&2
+  exit 1
+fi
+if [ "$RERUN_RECOVERED" != "$REF_ACCEPTED" ]; then
+  echo "server_kill_gate: restart recovered $RERUN_RECOVERED of $REF_ACCEPTED" >&2
+  exit 1
+fi
+if [ "$RERUN_ACCEPTED" != "$REF_ACCEPTED" ] ||
+  [ "${RERUN_DEDUPED:-0}" -lt $((DEVICES * REPORTS)) ] ||
+  [ "$RERUN_COMMITS" != 0 ]; then
+  echo "server_kill_gate: the rerun was not answered from the journal" \
+    "(accepted=$RERUN_ACCEPTED deduped=$RERUN_DEDUPED commits=$RERUN_COMMITS)" >&2
   exit 1
 fi
 
