@@ -3,10 +3,11 @@ open Ra_device
 
 let mac_at device report ~time =
   let mem = device.Device.memory in
-  Mp.mac_over ~hash:report.Report.hash
-    ~key:device.Device.config.Device.key ~nonce:report.Report.nonce
+  let hash = report.Report.hash in
+  Mp.mac_over ~hash ~key:device.Device.config.Device.key ~nonce:report.Report.nonce
     ~counter:report.Report.counter ~order:report.Report.order
-    ~block_content:(fun block -> Memory.block_content_at mem ~time ~block)
+    ~digest:(fun block ->
+      Ra_crypto.Algo.digest hash (Memory.block_content_at mem ~time ~block))
 
 let holds_at device report ~time =
   Ra_crypto.Bytesutil.constant_time_equal (mac_at device report ~time)

@@ -49,9 +49,9 @@ let start device ?(hash = Ra_crypto.Algo.SHA_256) ?(priority = 5) ~on_ready () =
        ());
   t
 
-let mac_root t ~nonce ~root =
-  Ra_crypto.Mac_stream.mac t.hash ~key:t.device.Device.config.Device.key
-    (Bytes.cat nonce root)
+(* The root report's MAC, prover and verifier side: MAC(key, nonce || root). *)
+let mac_root hash ~key ~nonce root =
+  Ra_crypto.Mac_stream.mac hash ~key (Bytes.cat nonce root)
 
 let attest t ~nonce ~on_complete =
   match t.tree with
@@ -77,7 +77,9 @@ let attest t ~nonce ~on_complete =
            on_complete
              {
                nonce;
-               root_mac = mac_root t ~nonce ~root:(Merkle.root tree);
+               root_mac =
+                 mac_root t.hash ~key:t.device.Device.config.Device.key ~nonce
+                   (Merkle.root tree);
                dirty_blocks = List.length dirty;
                t_start;
                t_end = Engine.now eng;
@@ -97,9 +99,7 @@ let expected_root hash ~expected_image ~block_size =
   Merkle.root tree
 
 let verify ~key ~hash ~expected_root report =
-  let expected =
-    Ra_crypto.Mac_stream.mac hash ~key (Bytes.cat report.nonce expected_root)
-  in
+  let expected = mac_root hash ~key ~nonce:report.nonce expected_root in
   if Ra_crypto.Bytesutil.constant_time_equal expected report.root_mac then
     Verifier.Clean
   else Verifier.Tampered

@@ -57,19 +57,14 @@ let run device config ~nonce ?(hooks = null_hooks) ~on_complete () =
     Cost_model.hash_time_raw cost config.hash
       ~bytes:device.Device.config.Device.modeled_block_bytes
   in
-  let index_bytes i =
-    let b = Bytes.create 4 in
-    Ra_crypto.Bytesutil.store32_be b 0 i;
-    b
-  in
+  (* Regions partition memory, so one array holds every region's digests,
+     each stored as its block is measured. *)
+  let digests = Array.make (Memory.block_count mem) Bytes.empty in
   (* Measure one region: an interruptible chain of per-block CPU jobs. *)
   let measure_region process k =
     hooks.on_region_start ~measured:process;
     let t_start = Engine.now eng in
-    let ctx =
-      Ra_crypto.Mac_stream.create config.hash ~key:device.Device.config.Device.key
-    in
-    Ra_crypto.Mac_stream.update ctx (region_nonce ~nonce process);
+    let nonce = region_nonce ~nonce process in
     let order =
       Array.init process.block_span (fun i -> process.first_block + i)
     in
@@ -79,9 +74,11 @@ let run device config ~nonce ?(hooks = null_hooks) ~on_complete () =
           {
             Report.scheme_name = "TyTAN:" ^ process.name;
             hash = config.hash;
-            nonce = region_nonce ~nonce process;
+            nonce;
             order;
-            mac = Ra_crypto.Mac_stream.finalize ctx;
+            mac =
+              Mp.mac_over ~hash:config.hash ~key:device.Device.config.Device.key ~nonce
+                ~counter:None ~order ~digest:(Array.get digests);
             data_copy = [];
             t_start;
             t_end = Engine.now eng;
@@ -99,8 +96,7 @@ let run device config ~nonce ?(hooks = null_hooks) ~on_complete () =
              ~duration:block_duration
              ~on_complete:(fun () ->
                let block = order.(idx) in
-               Ra_crypto.Mac_stream.update ctx (index_bytes block);
-               Ra_crypto.Mac_stream.update ctx (Mp.block_digest device config.hash block);
+               digests.(block) <- Mp.block_digest device config.hash block;
                step (idx + 1))
              ())
     in

@@ -91,9 +91,9 @@ let expected_mac t report =
   else
     let hash = report.Report.hash in
     Some
-      (Mp.mac_over_digests ~hash ~key:t.key ~nonce:report.Report.nonce
+      (Mp.mac_over ~hash ~key:t.key ~nonce:report.Report.nonce
          ~counter:report.Report.counter ~order:report.Report.order
-         ~digests:(Array.map (expected_digest t hash report) report.Report.order))
+         ~digest:(expected_digest t hash report))
 
 let mac_matches t report =
   match expected_mac t report with

@@ -30,14 +30,14 @@ let order = Array.init blocks (fun i -> i)
 (* The measurement a verifier would check, computed two ways over the same
    live memory: through the device's cache, and from scratch. *)
 let cached_mac device =
-  let digests = Array.map (Mp.block_digest device hash) order in
-  Mp.mac_over_digests ~hash ~key:device.Device.config.Device.key ~nonce
-    ~counter:None ~order ~digests
+  Mp.mac_over ~hash ~key:device.Device.config.Device.key ~nonce ~counter:None
+    ~order ~digest:(Mp.block_digest device hash)
 
 let uncached_mac device =
   Mp.mac_over ~hash ~key:device.Device.config.Device.key ~nonce ~counter:None
     ~order
-    ~block_content:(Memory.read_block device.Device.memory)
+    ~digest:(fun block ->
+      Ra_crypto.Algo.digest hash (Memory.read_block device.Device.memory block))
 
 (* --- cached = uncached under adversarial schedules ----------------------- *)
 
