@@ -74,7 +74,7 @@ let default_config =
     comment_reach = 3;
     o_core_paths = [ "lib/server/core.ml" ];
     digest_guard = [ ("lib/cache/", "Store") ];
-    c_paths = [ "lib/crypto/"; "lib/pk/"; "lib/server/" ];
+    c_paths = [ "lib/core/"; "lib/crypto/"; "lib/pk/"; "lib/server/" ];
     secret_tag_paths = [ "lib/crypto/"; "lib/pk/" ];
   }
 

@@ -34,9 +34,6 @@ type options = {
          under a held lock (rule L4) *)
 }
 
-let default_options =
-  { o_core = [ "lib/server/core.ml" ]; digest_guard = [ ("lib/cache/", "Store") ] }
-
 type jeff = J_id | J_appended | J_committed
 
 type info = {
@@ -465,7 +462,7 @@ let analyze_function p info =
   in
   before <> after
 
-let run ?(options = default_options) cg =
+let run ~options cg =
   let funcs = Callgraph.functions cg in
   let infos = Hashtbl.create 256 in
   List.iter

@@ -29,7 +29,7 @@ type info = {
 
 (* Fixpoint + emission: raw L1/L2/L3/L4/O1/O2 findings (unsuppressed,
    unfingerprinted) and the converged per-function summaries. *)
-val run : ?options:options -> Callgraph.t -> raw list * (string, info) Hashtbl.t
+val run : options:options -> Callgraph.t -> raw list * (string, info) Hashtbl.t
 
 val dump_info : info -> string
 

@@ -32,12 +32,6 @@ type options = {
   secret_tag_paths : string list; (* where "tag" names a MAC tag *)
 }
 
-let default_options =
-  {
-    c_paths = [ "lib/crypto/"; "lib/pk/"; "lib/server/" ];
-    secret_tag_paths = [ "lib/crypto/"; "lib/pk/" ];
-  }
-
 type tval = { direct : bool; deps : IntSet.t }
 
 let untainted = { direct = false; deps = IntSet.empty }
@@ -334,7 +328,7 @@ let analyze_tinfo p info =
   info.ret_deps <- tv.deps;
   before <> (info.ret_always, info.ret_deps, info.cmp_deps)
 
-let run ?(options = default_options) cg =
+let run ~options cg =
   let funcs = Callgraph.functions cg in
   let infos = Hashtbl.create 256 in
   List.iter

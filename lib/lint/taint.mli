@@ -18,6 +18,6 @@ type tinfo = {
 }
 
 val run :
-  ?options:options -> Callgraph.t -> Summary.raw list * (string, tinfo) Hashtbl.t
+  options:options -> Callgraph.t -> Summary.raw list * (string, tinfo) Hashtbl.t
 
 val dump_tinfo : tinfo -> string

@@ -588,7 +588,13 @@ let c_positive () =
              "let check ~key probe = Bytes.equal (Bytes.sub key 0 16) probe\n")));
   check rules_testable "a secret in an exception message fires C2" [ "C2" ]
     (sorted_rules
-       (plint (crypto_file "let boom ~key = failwith (Bytes.to_string key)\n")))
+       (plint (crypto_file "let boom ~key = failwith (Bytes.to_string key)\n")));
+  check rules_testable "a verifier comparing a MAC in lib/core fires C1" [ "C1" ]
+    (sorted_rules
+       (plint
+          [ ( "lib/core/fixture.ml",
+              "let matches ~key msg report = Bytes.equal (Hmac.Sha256.mac ~key msg) report\n" )
+          ]))
 
 let c_negative () =
   check rules_testable "constant_time_equal is the sanctioned sink" []
@@ -621,7 +627,7 @@ let c_negative () =
           ]));
   check rules_testable "C findings stay inside the configured paths" []
     (sorted_rules
-       (plint [ ("lib/core/fixture.ml", "let check ~key probe = key = probe\n") ]))
+       (plint [ ("lib/experiments/fixture.ml", "let check ~key probe = key = probe\n") ]))
 
 (* interprocedural waivers: near-site only *)
 
