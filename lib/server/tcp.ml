@@ -74,7 +74,9 @@ let serve ?(host = "127.0.0.1") ?(config = Core.default_config) ?(fresh = false)
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
   Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-  Unix.listen listen_fd 64;
+  (* the accept queue holds as many connects as the loop will, so a burst
+     inside one select iteration is not dropped into the 1 s SYN retry *)
+  Unix.listen listen_fd max_conns;
   Unix.set_nonblock listen_fd;
   let c0 = Core.counters core in
   Printf.printf
